@@ -1,13 +1,22 @@
 """Relay-set selection so every 2-hop neighbor pair has a bridging relay.
 
 A pair (u, w) with w exactly two hops from u is *covered* by relay r when r
-is a direct neighbor of both u and w. The selection scan visits candidates
-in a fixed order and keeps a candidate iff it bridges at least one pair that
-no earlier relay covered; because every 2-hop pair has a middle node by
-definition, the scan always terminates with full coverage.
+is a direct neighbor of both u and w. The selection scan (Wu & Li's marking
+rule) visits candidates in a fixed order and keeps a candidate iff it
+bridges at least one pair that no earlier relay covered; because every 2-hop
+pair has a middle node by definition, the scan always terminates with full
+coverage.
 
-`brute_force_min_relays` is an independent exact oracle (subset enumeration
-in increasing size) used to validate the scan on small instances, and
+The pairs a node v bridges are exactly its non-adjacent neighbor pairs, so
+the scan lists them once per candidate and takes everything else from those
+lists: the selectors of relay r are the endpoints of r's pairs, and the
+covered pairs are the union of every node's pairs. Only the current
+candidate's list is kept while the scan runs.
+
+`two_hop_pairs` enumerates the same pairs from `two_hop` instead, as the
+independent reference of `coverage_check` and `brute_force_min_relays`.
+`brute_force_min_relays` is an exact oracle (subset enumeration in
+increasing size) used to validate the scan on small instances, and
 `coverage_check` re-derives coverage from the raw adjacency so it shares no
 code path with the selection itself.
 """
@@ -15,7 +24,8 @@ code path with the selection itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 
 from .errors import SizeLimitError, StaleAssignmentError
 from .topology import Topology, two_hop
@@ -36,8 +46,9 @@ class RelayAssignment:
         one of u's 2-hop pairs; a relay forwards traffic heard directly from
         one of these nodes.
     covered_pairs: all unordered 2-hop pairs, each listed as (min, max).
-    bridge_tests: number of candidate/pair bridge tests the scan performed
-        (workload witness for the quadratic loop structure).
+    bridge_tests: number of candidate/pair bridge tests the scan made up to
+        its last relay, where coverage became complete (workload witness
+        for the quadratic loop structure).
     """
 
     relays: tuple[int, ...]
@@ -46,8 +57,9 @@ class RelayAssignment:
     epoch: int
     bridge_tests: int
 
-    @property
+    @cached_property
     def relay_set(self) -> frozenset[int]:
+        """The relays as a set, built on first access."""
         return frozenset(self.relays)
 
 
@@ -87,43 +99,32 @@ def select_relays(t: Topology, order: str = ORDER_ASCENDING) -> RelayAssignment:
     bridges are marked covered. Identical topologies always yield identical
     assignments.
     """
-    all_pairs = two_hop_pairs(t)
-    uncovered = set(all_pairs)
+    adjacency = t.adjacency
+    covered: set[tuple[int, int]] = set()
     relays: list[int] = []
-    tests = 0
-
+    selectors: dict[int, frozenset[int]] = {}
+    listed = tests = 0
     for v in _candidate_order(t, order):
-        if not uncovered:
-            break
-        neighbors = sorted(t.adjacency[v])
-        bridged: list[tuple[int, int]] = []
-        hits_uncovered = False
-        for u, w in combinations(neighbors, 2):
-            if w in t.adjacency[u]:
-                continue  # adjacent: not a 2-hop pair
-            # u, w non-adjacent neighbors of v, so (u, w) is a 2-hop pair
-            # bridged by v.
-            pair = (u, w)
-            tests += 1
-            bridged.append(pair)
-            if pair in uncovered:
-                hits_uncovered = True
-        if hits_uncovered:
+        # The 2-hop pairs v bridges: its non-adjacent neighbor pairs (u < w).
+        pairs = [
+            (u, w)
+            for u, w in combinations(sorted(adjacency[v]), 2)
+            if w not in adjacency[u]
+        ]
+        listed += len(pairs)
+        if not covered.issuperset(pairs):
             relays.append(v)
-            uncovered.difference_update(bridged)
-
-    selectors = {
-        r: frozenset(
-            u
-            for u in t.adjacency[r]
-            if any(w in t.adjacency[r] for w in two_hop(t, u))
-        )
-        for r in relays
-    }
+            selectors[v] = frozenset(chain.from_iterable(pairs))
+            covered.update(pairs)
+            tests = listed
+    # A candidate that is not selected adds no pair, so `covered` ends as the
+    # union of every node's pairs: all 2-hop pairs. Coverage is complete from
+    # the last relay on, so `bridge_tests` counts the tests up to it: those a
+    # scan makes that stops once no pair is left uncovered.
     return RelayAssignment(
         relays=tuple(relays),
         selectors=selectors,
-        covered_pairs=all_pairs,
+        covered_pairs=frozenset(covered),
         epoch=t.epoch,
         bridge_tests=tests,
     )

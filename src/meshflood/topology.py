@@ -4,6 +4,16 @@ Adjacency is purely geometric: two distinct nodes are linked iff their
 Euclidean distance is at most the radio range. All operations are pure
 functions of their inputs (plus an explicit seed where randomness is
 involved), so identical calls always return identical results.
+
+The disk adjacency is built on a uniform grid of square cells whose side is
+the radio range, so each node is tested only against the nodes of the 3x3
+block of cells around its own: O(n * degree) work per topology instead of
+O(n^2). It runs once at set-up and again at every mobility reconfiguration.
+A node lying within float-rounding distance of a cell edge also searches the
+cell beyond that edge (see `_cell_span`), so the grid links exactly the
+pairs the all-pairs `math.dist(...) <= radio_range` test would. Inputs the
+grid cannot index exactly (a tiny or non-finite range, or a coordinate that
+is non-finite or 2**50 ranges out) put every node in one cell instead.
 """
 
 from __future__ import annotations
@@ -109,16 +119,69 @@ def grid_spacing(count: int, area_side: float = DEFAULT_AREA_SIDE) -> float:
     return area_side / (side - 1) if side > 1 else 0.0
 
 
+# A pair passes `math.dist(p, q) <= radio_range` only if each coordinate
+# differs by less than radio_range * (1 + 2**-50): the float subtraction and
+# the norm each err by under one ulp. `divmod` gives the exact floor of
+# coord / range as the cell while |coord| / range < 2**51, and the offset
+# within the cell to half an ulp of the range, so a linked pair sits in the
+# same or adjacent cells, except when its gap just spans a whole cell, e.g.
+# x = 1 - 2**-53 and x = 2.0 at range 1.0 link across cells 0 and 2. Then
+# both nodes lie within that rounding slack of the facing cell edges, so a
+# node this close to an edge also searches the cell beyond it.
+_EDGE_SLACK = 2.0**-40
+
+# The argument above needs exact cells and no underflow: a finite range of
+# at least _MIN_GRID_RANGE and every coordinate under _MAX_GRID_CELLS ranges
+# from the origin. Otherwise (a tiny, infinite or NaN range, or a huge or
+# non-finite coordinate) every node goes into _ONE_CELL, which makes the
+# build the all-pairs test.
+_MIN_GRID_RANGE = 2.0**-960
+_MAX_GRID_CELLS = 2.0**50
+_ONE_CELL = (0, range(1))
+
+
+def _grid_is_exact(nodes: dict[int, Node], radio_range: float) -> bool:
+    if not _MIN_GRID_RANGE <= radio_range < math.inf:
+        return False
+    limit = radio_range * _MAX_GRID_CELLS
+    return all(abs(c) < limit for node in nodes.values() for c in node.pos)
+
+
+def _cell_span(coord: float, radio_range: float) -> tuple[int, range]:
+    """The cell index of one coordinate and the cell indices to search."""
+    cell, offset = divmod(coord, radio_range)
+    slack = radio_range * _EDGE_SLACK
+    low = int(cell) - 1 - (offset <= slack)
+    high = int(cell) + 1 + (offset >= radio_range - slack)
+    return int(cell), range(low, high + 1)
+
+
 def _disk_adjacency(
     nodes: dict[int, Node], radio_range: float
 ) -> dict[int, frozenset[int]]:
     ids = sorted(nodes)
+    exact = _grid_is_exact(nodes, radio_range)
+    cells: dict[tuple[int, int], list[int]] = {}
+    search: dict[int, tuple[range, range]] = {}
+    for u in ids:
+        if exact:
+            (cx, xs), (cy, ys) = (_cell_span(c, radio_range) for c in nodes[u].pos)
+        else:
+            (cx, xs), (cy, ys) = _ONE_CELL, _ONE_CELL
+        cells.setdefault((cx, cy), []).append(u)
+        search[u] = (xs, ys)
     links: dict[int, set[int]] = {i: set() for i in ids}
-    for idx, u in enumerate(ids):
-        for v in ids[idx + 1 :]:
-            if math.dist(nodes[u].pos, nodes[v].pos) <= radio_range:
-                links[u].add(v)
-                links[v].add(u)
+    for u in ids:
+        pos = nodes[u].pos
+        xs, ys = search[u]
+        for i in xs:
+            for j in ys:
+                for v in cells.get((i, j), ()):
+                    # Two nodes that can link search each other's cells,
+                    # so testing v > u only tests each pair once.
+                    if v > u and math.dist(pos, nodes[v].pos) <= radio_range:
+                        links[u].add(v)
+                        links[v].add(u)
     return {i: frozenset(neigh) for i, neigh in links.items()}
 
 
@@ -154,17 +217,7 @@ def two_hop(t: Topology, u: int) -> frozenset[int]:
 def is_connected(t: Topology) -> bool:
     """True iff every node is reachable from every other; trivially true for n <= 1."""
     ids = t.node_ids()
-    if len(ids) <= 1:
-        return True
-    seen = {ids[0]}
-    frontier = [ids[0]]
-    while frontier:
-        u = frontier.pop()
-        for v in t.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == len(ids)
+    return not ids or len(reachable_from(t, ids[0])) == len(ids)
 
 
 def reachable_from(t: Topology, start: int) -> frozenset[int]:

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshflood.errors import SizeLimitError, StaleAssignmentError
 from meshflood.fixtures import (
@@ -9,8 +13,13 @@ from meshflood.fixtures import (
     grid_topology,
     path_topology,
     random_connected_topology,
+    random_disk_topology,
 )
 from meshflood.relays import (
+    ORDER_ASCENDING,
+    ORDER_DEGREE,
+    ORDER_DESCENDING,
+    _candidate_order,
     brute_force_min_relays,
     cardinality_report,
     coverage_check,
@@ -18,7 +27,14 @@ from meshflood.relays import (
     select_relays,
     two_hop_pairs,
 )
-from meshflood.topology import MobilityStep, Node, Role, build_topology, reconfigure
+from meshflood.topology import (
+    MobilityStep,
+    Node,
+    Role,
+    build_topology,
+    reconfigure,
+    two_hop,
+)
 
 
 def star_topology(leaves=4):
@@ -101,6 +117,67 @@ class TestSelectRelays:
         assert coverage_check(t, a.relays) == []
         for u, w in a.covered_pairs:
             assert (u < 4) == (w < 4)
+
+
+def reference_scan(t, order):
+    """The selection scan with selectors re-derived from `two_hop` of every
+    relay's neighbors: the reference `select_relays` must match exactly.
+    Returns (relays, selectors, covered_pairs, bridge_tests)."""
+    all_pairs = two_hop_pairs(t)
+    uncovered = set(all_pairs)
+    relays = []
+    tests = 0
+    for v in _candidate_order(t, order):
+        if not uncovered:
+            break
+        bridged = []
+        hits_uncovered = False
+        for u, w in combinations(sorted(t.adjacency[v]), 2):
+            if w in t.adjacency[u]:
+                continue
+            tests += 1
+            bridged.append((u, w))
+            if (u, w) in uncovered:
+                hits_uncovered = True
+        if hits_uncovered:
+            relays.append(v)
+            uncovered.difference_update(bridged)
+    selectors = {
+        r: frozenset(
+            u
+            for u in t.adjacency[r]
+            if any(w in t.adjacency[r] for w in two_hop(t, u))
+        )
+        for r in relays
+    }
+    return tuple(relays), selectors, all_pairs, tests
+
+
+class TestSelectRelaysMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=10**6),
+        radio_range=st.floats(min_value=20.0, max_value=400.0),
+        moves=st.integers(min_value=0, max_value=2),
+    )
+    def test_random_topologies_all_orders(self, n, seed, radio_range, moves):
+        t = random_disk_topology(n, seed, radio_range)
+        for step in range(moves):
+            t = reconfigure(t, MobilityStep(60.0), seed + step)
+        for order in (ORDER_ASCENDING, ORDER_DESCENDING, ORDER_DEGREE):
+            a = select_relays(t, order)
+            assert (a.relays, a.selectors, a.covered_pairs, a.bridge_tests) == (
+                reference_scan(t, order)
+            ), order
+            assert list(a.selectors) == list(a.relays)
+            assert a.covered_pairs == two_hop_pairs(t)
+            assert a.epoch == t.epoch
+
+    def test_relay_set_built_once(self):
+        a = select_relays(grid_topology(25))
+        assert a.relay_set is a.relay_set
+        assert a.relay_set == frozenset(a.relays)
 
 
 class TestCoverageCheck:

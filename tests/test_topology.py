@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshflood.errors import EmptyScenarioError, UnknownNodeError
-from meshflood.fixtures import grid_topology, random_disk_topology
+from meshflood.fixtures import grid_topology, path_topology, random_disk_topology
 from meshflood.topology import (
     MobilityStep,
     Node,
@@ -235,3 +237,108 @@ class TestTopologyFile:
         assert lines[1].startswith("node 0 ")
         assert "edge 0 1" in lines
         assert "edge 1 2" in lines
+
+
+def all_pairs_adjacency(nodes, radio_range):
+    """The all-pairs disk rule: the reference the grid-bucketed build must match."""
+    ids = sorted(nodes)
+    links = {i: set() for i in ids}
+    for idx, u in enumerate(ids):
+        for v in ids[idx + 1 :]:
+            if math.dist(nodes[u].pos, nodes[v].pos) <= radio_range:
+                links[u].add(v)
+                links[v].add(u)
+    return {i: frozenset(neigh) for i, neigh in links.items()}
+
+
+# Powers of two included: at range 2**k, x = 2**k - ulp and x = 2**(k+1)
+# are 2**k + ulp/2 apart, which rounds to the range itself.
+RANGES = st.one_of(
+    st.sampled_from([1e-6, 0.1, 1 / 3, 43.70193722368317, 120.0, 1e6]),
+    st.integers(min_value=-20, max_value=20).map(lambda k: 2.0**k),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+
+
+def nudged(value, steps):
+    """`value` moved `steps` floats up (positive) or down (negative)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else -math.inf)
+    return value
+
+
+@st.composite
+def placements(draw):
+    """(nodes, radio range) mixing the hard cases: random coordinates,
+    coincident nodes, collinear nodes, and coordinates at or within a float
+    of integer multiples of the range, where links sit exactly at the range
+    and nodes on cell edges."""
+    radio_range = draw(RANGES)
+    random_coord = st.floats(min_value=-500.0, max_value=500.0)
+    on_multiple = st.builds(
+        lambda k, steps: nudged(k * radio_range, steps),
+        st.integers(min_value=-2, max_value=3),
+        st.integers(min_value=-1, max_value=1),
+    )
+    coord = st.one_of(random_coord, on_multiple)
+    y = st.just(0.0) if draw(st.booleans()) else coord
+    pool = draw(st.lists(st.tuples(coord, y), min_size=1, max_size=12))
+    # Drawing from a small pool repeats positions: coincident nodes.
+    positions = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    nodes = [
+        Node(i, Role.SOURCE if i == 0 else Role.CLIENT, pos)
+        for i, pos in enumerate(positions)
+    ]
+    return nodes, radio_range
+
+
+class TestGridAdjacency:
+    @settings(max_examples=300, deadline=None)
+    @given(placements())
+    def test_matches_all_pairs(self, placement):
+        nodes, radio_range = placement
+        t = build_topology(nodes, radio_range)
+        assert t.adjacency == all_pairs_adjacency(t.nodes, radio_range)
+
+    def test_link_two_cells_apart(self):
+        # 2.0 - (1 - 2**-53) rounds to 1.0, so the nodes link although their
+        # cells are 0 and 2.
+        nodes = [
+            Node(0, Role.SOURCE, (1 - 2**-53, 0.0)),
+            Node(1, Role.CLIENT, (2.0, 0.0)),
+        ]
+        t = build_topology(nodes, 1.0)
+        assert all_pairs_adjacency(t.nodes, 1.0)[0] == {1}
+        assert t.adjacency[0] == {1}
+
+    # Each range against finite, tiny and non-finite coordinates: inputs
+    # where cell indices would overflow or lose exactness.
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [0.0, -0.0, 5e-324, 1e-310, 1.0, -1.0, 2.0**50, 2.0**60, 1e308, -1e308],
+            [0.0, 5e-324, 2.0**-960, 2.0**-959, -(2.0**-960), 2.0**-950],
+            [0.0, 1.0, 2.0, math.inf, -math.inf, math.nan],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "radio_range", [5e-324, 1e-310, 2.0**-960, 1.0, 1e300, math.inf, math.nan]
+    )
+    def test_extreme_values(self, coords, radio_range):
+        nodes = [
+            Node(i, Role.SOURCE if i == 0 else Role.CLIENT, pos)
+            for i, pos in enumerate((x, y) for x in coords for y in coords)
+        ]
+        t = build_topology(nodes, radio_range)
+        assert t.adjacency == all_pairs_adjacency(t.nodes, radio_range)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 25, 49, 100, 121, 144, 400])
+    def test_grid_fixture(self, n):
+        t = grid_topology(n)
+        assert t.adjacency == all_pairs_adjacency(t.nodes, t.radio_range)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 0.1, 1 / 3, 43.70193722368317, 100.0, 1e5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_path_fixture(self, n, spacing):
+        t = path_topology(n, spacing)
+        assert t.adjacency == all_pairs_adjacency(t.nodes, t.radio_range)
