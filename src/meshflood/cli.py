@@ -12,9 +12,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .engine import MODE_BLIND, MODE_RELAY, SimConfig, run
+from .engine import MODE_BLIND, MODE_RELAY, SimConfig, run, scenario_topology
 from .errors import AccountingError, ConfigError, MeshFloodError, SizeLimitError
-from .fixtures import build_scenario_topology
 from .metrics import compare, export_csv, export_summary, summarize
 from .relays import (
     brute_force_min_relays,
@@ -23,7 +22,7 @@ from .relays import (
     select_relays,
 )
 from .scenario import load_scenario
-from .topology import Topology, save_topology
+from .topology import save_topology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,21 +82,10 @@ def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
     return cfg
 
 
-def _scenario_topology(cfg: SimConfig) -> Topology:
-    return build_scenario_topology(
-        fixture=cfg.fixture,
-        node_count=cfg.node_count,
-        placement=cfg.placement,
-        area_side=cfg.area_side,
-        radio_range=cfg.radio_range,
-        seed=cfg.seed,
-    )
-
-
 def _run_one(
     cfg: SimConfig, out_dir: Path, dump_topology: bool, dump_relay_sets: bool
 ) -> int:
-    topo = _scenario_topology(cfg)
+    topo = scenario_topology(cfg)
     series = run(cfg, topo)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(series, out_dir / "series.csv")
@@ -139,10 +127,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    topo = scenario_topology(cfg)
     summaries = {}
     for mode in (MODE_RELAY, MODE_BLIND):
-        mode_cfg = dataclasses.replace(cfg, mode=mode)
-        series = run(mode_cfg, _scenario_topology(mode_cfg))
+        series = run(dataclasses.replace(cfg, mode=mode), topo)
         export_csv(series, out / f"series_{mode}.csv")
         summaries[mode] = summarize(series)
         export_summary(summaries[mode], out / f"summary_{mode}.txt")
@@ -154,7 +142,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.scenario)
-    topo = _scenario_topology(cfg)
+    topo = scenario_topology(cfg)
     assignment = select_relays(topo, cfg.relay_order)
     optimal = brute_force_min_relays(topo, args.max_n)
     if coverage_check(topo, assignment.relays):

@@ -6,7 +6,7 @@ counter). Kind ranks put topology changes before relay recomputation before
 cache work before traffic at the same instant:
 
     TOPO_RECONFIGURE < TOPO_CONTROL < CACHE_EXPIRY < EMIT_FROM_SOURCE
-        < RELAY_EMIT < RECEIVE < METRICS_TICK
+        < RELAY_EMIT < RECEIVE
 
 The source emits on its interval for the configured duration; after the last
 scheduled second the loop keeps draining in-flight receptions and held
@@ -18,7 +18,9 @@ as lost in transit. Either way the bit-conservation identity is exact.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from enum import IntEnum
@@ -39,6 +41,7 @@ from .protocol import (
 from .relays import RelayAssignment, cardinality_report, select_relays
 from .topology import (
     MobilityStep,
+    Placement,
     Topology,
     is_connected,
     reachable_from,
@@ -51,8 +54,6 @@ MODE_RELAY = "relay"
 MODE_BLIND = "blind"
 INFLIGHT_DELIVER = "deliver"
 INFLIGHT_DROP = "drop"
-PLACEMENT_GRID = "grid"
-PLACEMENT_UNIFORM = "uniform"
 RELAY_ORDERS = ("ascending", "descending", "degree")
 
 
@@ -65,7 +66,6 @@ class EventKind(IntEnum):
     EMIT_FROM_SOURCE = 3
     RELAY_EMIT = 4
     RECEIVE = 5
-    METRICS_TICK = 6
 
 
 @dataclass(frozen=True)
@@ -97,21 +97,12 @@ class EventQueue:
         return heapq.heappop(self._heap)[4]
 
 
-def schedule(queue: EventQueue, event: Event) -> None:
-    queue.push(event)
-
-
-def next_event(queue: EventQueue) -> Event | None:
-    """Pop the globally next event; None signals end of simulation."""
-    return queue.pop()
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Complete scenario description; `run` is a pure function of this."""
 
     node_count: int = 25
-    placement: str = PLACEMENT_GRID
+    placement: str = Placement.GRID.value
     area_side: float = 500.0
     radio_range: float = 120.0
     channel_bps: int = 11_000_000
@@ -135,11 +126,16 @@ class SimConfig:
     fixture: str | None = None
 
     def validate(self) -> None:
+        # Comparisons below are written so that NaN fails them too.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.node_count < 1:
             raise ConfigError("node_count must be at least 1")
-        if self.placement not in (PLACEMENT_GRID, PLACEMENT_UNIFORM):
+        if self.placement not in {p.value for p in Placement}:
             raise ConfigError(f"unknown placement {self.placement!r}")
-        if self.area_side <= 0 or self.radio_range <= 0:
+        if not (self.area_side > 0 and self.radio_range > 0):
             raise ConfigError("area_side and radio_range must be positive")
         if self.channel_bps < 1:
             raise ConfigError("channel_bps must be positive")
@@ -153,7 +149,7 @@ class SimConfig:
             "duplicate_ttl_s",
             "sim_duration_s",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.sim_duration_s < self.packet_interval_s:
             raise ConfigError("sim_duration_s must be at least packet_interval_s")
@@ -161,12 +157,12 @@ class SimConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.inflight not in (INFLIGHT_DELIVER, INFLIGHT_DROP):
             raise ConfigError(f"unknown inflight policy {self.inflight!r}")
-        if self.mobility_displacement < 0:
+        if not self.mobility_displacement >= 0:
             raise ConfigError("mobility_displacement must be non-negative")
         if self.relay_order not in RELAY_ORDERS:
             raise ConfigError(f"unknown relay_order {self.relay_order!r}")
         for t, bits in self.rate_schedule:
-            if t < 0 or bits < 1:
+            if not (math.isfinite(t) and t >= 0) or bits < 1:
                 raise ConfigError(f"bad rate_schedule entry ({t}, {bits})")
 
 
@@ -288,10 +284,6 @@ class _Run:
             while t < duration:
                 self.queue.push(Event(t, EventKind.TOPO_RECONFIGURE, -1))
                 t += stability
-        t = US
-        while t <= duration:
-            self.queue.push(Event(t, EventKind.METRICS_TICK, -1))
-            t += US
 
     # -- traffic helpers ------------------------------------------------
 
@@ -439,12 +431,8 @@ class _Run:
             EventKind.CACHE_EXPIRY: self.handle_cache_expiry,
             EventKind.TOPO_CONTROL: self.handle_topo_control,
             EventKind.TOPO_RECONFIGURE: self.handle_topo_reconfigure,
-            EventKind.METRICS_TICK: lambda ev: None,
         }
-        while True:
-            ev = next_event(self.queue)
-            if ev is None:
-                break
+        while (ev := self.queue.pop()) is not None:
             if ev.time_us < self.last_time_us:
                 raise AccountingError("event time went backwards")
             self.last_time_us = ev.time_us
@@ -484,6 +472,19 @@ class _Run:
         card = cardinality_report(self.initial_topo, self.initial_assignment)
         cfg = self.cfg
         series.meta.update(
+            {f"config_{f.name}": getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+        )
+        # Not plain copies: size and range are the run's topology (a fixture
+        # has its own), and the optional fixture and the schedule are text.
+        series.meta.update(
+            config_node_count=len(self.initial_topo.nodes),
+            config_radio_range=self.initial_topo.radio_range,
+            config_fixture=cfg.fixture or "",
+            config_rate_schedule=",".join(
+                f"{t}:{b}" for t, b in sorted(cfg.rate_schedule)
+            ),
+        )
+        series.meta.update(
             {
                 "fingerprint": scenario_fingerprint(cfg, self.initial_topo),
                 "warning_disconnected": not is_connected(self.initial_topo),
@@ -506,33 +507,20 @@ class _Run:
                 "conservation_received_bits": got_bits - self.lost_bits,
                 "channel_overloaded": series.peak_node_bits_per_second()
                 > cfg.channel_bps,
-                "config_mode": cfg.mode,
-                "config_seed": cfg.seed,
-                "config_node_count": len(self.initial_topo.nodes),
-                "config_placement": cfg.placement,
-                "config_fixture": cfg.fixture or "",
-                "config_area_side": cfg.area_side,
-                "config_radio_range": self.initial_topo.radio_range,
-                "config_channel_bps": cfg.channel_bps,
-                "config_tx_power_mw": cfg.tx_power_mw,
-                "config_payload_bits": cfg.payload_bits,
-                "config_header_bits_per_relay": cfg.header_bits_per_relay,
-                "config_packet_interval_s": cfg.packet_interval_s,
-                "config_topo_control_interval_s": cfg.topo_control_interval_s,
-                "config_hold_time_s": cfg.hold_time_s,
-                "config_topo_stability_s": cfg.topo_stability_s,
-                "config_duplicate_ttl_s": cfg.duplicate_ttl_s,
-                "config_sim_duration_s": cfg.sim_duration_s,
-                "config_rule2": cfg.rule2,
-                "config_inflight": cfg.inflight,
-                "config_mobility_displacement": cfg.mobility_displacement,
-                "config_repeat_seq": cfg.repeat_seq,
-                "config_relay_order": cfg.relay_order,
-                "config_rate_schedule": ",".join(
-                    f"{t}:{b}" for t, b in sorted(cfg.rate_schedule)
-                ),
             }
         )
+
+
+def scenario_topology(cfg: SimConfig) -> Topology:
+    """The topology a scenario describes: its fixture, or fresh placement."""
+    return build_scenario_topology(
+        fixture=cfg.fixture,
+        node_count=cfg.node_count,
+        placement=cfg.placement,
+        area_side=cfg.area_side,
+        radio_range=cfg.radio_range,
+        seed=cfg.seed,
+    )
 
 
 def run(cfg: SimConfig, topology: Topology | None = None) -> MetricsSeries:
@@ -543,12 +531,5 @@ def run(cfg: SimConfig, topology: Topology | None = None) -> MetricsSeries:
     """
     cfg.validate()
     if topology is None:
-        topology = build_scenario_topology(
-            fixture=cfg.fixture,
-            node_count=cfg.node_count,
-            placement=cfg.placement,
-            area_side=cfg.area_side,
-            radio_range=cfg.radio_range,
-            seed=cfg.seed,
-        )
+        topology = scenario_topology(cfg)
     return _Run(cfg, topology).execute()

@@ -173,6 +173,5 @@ def build_scenario_topology(
     """Topology for a scenario: a named fixture, or fresh placement."""
     if fixture:
         return fixture_by_name(fixture)
-    mode = Placement.GRID if placement == "grid" else Placement.UNIFORM_RANDOM
-    nodes = place_nodes(node_count, mode, area_side, seed)
+    nodes = place_nodes(node_count, Placement(placement), area_side, seed)
     return build_topology(nodes, radio_range)

@@ -1,9 +1,11 @@
 """Scenario files: flat `key=value` text mapping onto SimConfig.
 
 Lines are `key = value`, `#` starts a comment, blank lines are ignored.
-Unknown keys are rejected so typos cannot silently fall back to defaults.
-The extra keys beyond SimConfig's fields are `fixture` (built-in topology
-name) and `rate_schedule` (`t:bits` pairs joined by commas).
+The keys are SimConfig's field names, and each value is parsed as the type
+of that field's default (booleans also as on/off or yes/no). The exceptions
+are `fixture`, a built-in topology name, and `rate_schedule`, `t:bits` pairs
+joined by commas. Unknown keys are rejected so typos cannot silently fall
+back to defaults.
 """
 
 from __future__ import annotations
@@ -50,47 +52,22 @@ def parse_rate_schedule(raw: str) -> tuple[tuple[float, int], ...]:
     return tuple(sorted(entries))
 
 
-_INT_KEYS = {
-    "node_count",
-    "channel_bps",
-    "payload_bits",
-    "header_bits_per_relay",
-    "seed",
-}
-_FLOAT_KEYS = {
-    "area_side",
-    "radio_range",
-    "tx_power_mw",
-    "packet_interval_s",
-    "topo_control_interval_s",
-    "hold_time_s",
-    "topo_stability_s",
-    "duplicate_ttl_s",
-    "sim_duration_s",
-    "mobility_displacement",
-}
-_BOOL_KEYS = {"rule2", "repeat_seq"}
-_STR_KEYS = {"placement", "mode", "inflight", "relay_order", "fixture"}
-
-_KNOWN_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | {"rate_schedule"}
-)
-assert _KNOWN_KEYS <= {f.name for f in dataclasses.fields(SimConfig)}
+# A key's value type is that of its SimConfig default, except that `fixture`
+# (default None) takes a name and `rate_schedule` has its own syntax.
+_KEY_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
+_KEY_TYPES["fixture"] = str
 
 
 def _convert(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if key in _BOOL_KEYS:
-        return _parse_bool(key, raw)
     if key == "rate_schedule":
         return parse_rate_schedule(raw)
-    return raw
+    kind = _KEY_TYPES[key]
+    if kind is bool:
+        return _parse_bool(key, raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
 
 
 def parse_scenario_text(text: str, origin: str = "<string>") -> SimConfig:
@@ -103,7 +80,7 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> SimConfig:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key:
             raise ConfigError(f"{origin}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")

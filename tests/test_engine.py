@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,9 +9,7 @@ from meshflood.engine import (
     EventKind,
     EventQueue,
     SimConfig,
-    next_event,
     run,
-    schedule,
     serialization_delay_us,
     transmit,
 )
@@ -22,33 +21,33 @@ from meshflood.protocol import Packet
 class TestEventQueue:
     def test_same_instant_kind_rank_orders_pops(self):
         q = EventQueue()
-        schedule(q, Event(4_000_000, EventKind.RELAY_EMIT, 1))
-        schedule(q, Event(4_000_000, EventKind.TOPO_CONTROL, 1))
-        assert next_event(q).kind is EventKind.TOPO_CONTROL
-        assert next_event(q).kind is EventKind.RELAY_EMIT
+        q.push(Event(4_000_000, EventKind.RELAY_EMIT, 1))
+        q.push(Event(4_000_000, EventKind.TOPO_CONTROL, 1))
+        assert q.pop().kind is EventKind.TOPO_CONTROL
+        assert q.pop().kind is EventKind.RELAY_EMIT
 
     def test_subject_breaks_ties_within_kind(self):
         q = EventQueue()
-        schedule(q, Event(10, EventKind.RECEIVE, 5))
-        schedule(q, Event(10, EventKind.RECEIVE, 2))
-        assert next_event(q).subject == 2
-        assert next_event(q).subject == 5
+        q.push(Event(10, EventKind.RECEIVE, 5))
+        q.push(Event(10, EventKind.RECEIVE, 2))
+        assert q.pop().subject == 2
+        assert q.pop().subject == 5
 
     def test_single_event_round_trip(self):
         q = EventQueue()
-        ev = Event(7, EventKind.METRICS_TICK, -1)
-        schedule(q, ev)
-        assert next_event(q) == ev
-        assert next_event(q) is None
+        ev = Event(7, EventKind.CACHE_EXPIRY, 3)
+        q.push(ev)
+        assert q.pop() == ev
+        assert q.pop() is None
 
     def test_insertion_order_breaks_remaining_ties(self):
         q = EventQueue()
         a = Event(3, EventKind.RECEIVE, 1, data=("a",))
         b = Event(3, EventKind.RECEIVE, 1, data=("b",))
-        schedule(q, a)
-        schedule(q, b)
-        assert next_event(q).data == ("a",)
-        assert next_event(q).data == ("b",)
+        q.push(a)
+        q.push(b)
+        assert q.pop().data == ("a",)
+        assert q.pop().data == ("b",)
 
     def test_replay_of_1000_random_events_is_identical(self):
         def pop_order(seed):
@@ -58,7 +57,7 @@ class TestEventQueue:
                 q.push(
                     Event(
                         rng.randrange(0, 50),
-                        EventKind(rng.randrange(0, 7)),
+                        EventKind(rng.randrange(len(EventKind))),
                         rng.randrange(0, 20),
                     )
                 )
@@ -122,6 +121,11 @@ class TestConfigValidation:
             {"relay_order": "shuffled"},
             {"rate_schedule": ((-1.0, 2000),)},
             {"mobility_displacement": -5.0},
+            {"radio_range": math.nan},
+            {"area_side": math.inf},
+            {"packet_interval_s": math.nan},
+            {"mobility_displacement": math.nan},
+            {"rate_schedule": ((math.nan, 2000),)},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

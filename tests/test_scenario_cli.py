@@ -1,8 +1,72 @@
+import dataclasses
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from meshflood.cli import EXIT_CONFIG, EXIT_OK, main
+from meshflood.engine import (
+    INFLIGHT_DELIVER,
+    INFLIGHT_DROP,
+    MODE_BLIND,
+    MODE_RELAY,
+    RELAY_ORDERS,
+    SimConfig,
+    run,
+)
 from meshflood.errors import ConfigError
+from meshflood.metrics import summarize
 from meshflood.scenario import parse_rate_schedule, parse_scenario_text
+from meshflood.topology import Placement
+
+
+def scenario_text(cfg: SimConfig) -> str:
+    """Write each field of `cfg` that is not None as a scenario file line."""
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            text = "on" if value else "off"
+        elif f.name == "rate_schedule":
+            text = ",".join(f"{t}:{bits}" for t, bits in value)
+        else:
+            text = str(value)
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+# Fields with a fixed set of values; any other field is drawn by the type of
+# its default, so a new field of another kind needs an entry here.
+_FIELD_VALUES = {
+    "placement": st.sampled_from([p.value for p in Placement]),
+    "mode": st.sampled_from([MODE_RELAY, MODE_BLIND]),
+    "inflight": st.sampled_from([INFLIGHT_DELIVER, INFLIGHT_DROP]),
+    "relay_order": st.sampled_from(RELAY_ORDERS),
+    "fixture": st.sampled_from([None, "fig3", "path:3", "grid:9", "k:4"]),
+    "rate_schedule": st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1e9),
+            st.integers(min_value=1, max_value=10**9),
+        ),
+        max_size=3,
+    ).map(lambda entries: tuple(sorted(entries))),
+}
+_TYPE_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(min_value=1, max_value=2**63),
+    float: st.floats(min_value=0.0, max_value=1e12, exclude_min=True),
+}
+sim_configs = st.builds(
+    SimConfig,
+    **{
+        f.name: _FIELD_VALUES[f.name]
+        if f.name in _FIELD_VALUES
+        else _TYPE_VALUES[type(f.default)]
+        for f in dataclasses.fields(SimConfig)
+    },
+)
 
 
 class TestScenarioParsing:
@@ -49,6 +113,31 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError):
             parse_scenario_text("node_count = 0\n")
 
+    @given(sim_configs)
+    def test_valid_config_written_as_text_parses_back_equal(self, cfg):
+        try:
+            cfg.validate()
+        except ConfigError:
+            assume(False)
+        assert parse_scenario_text(scenario_text(cfg)) == cfg
+
+    def test_every_field_is_a_key_and_a_summary_entry(self):
+        cfg = SimConfig(
+            fixture="path:3",
+            sim_duration_s=4.0,
+            rate_schedule=((0.0, 2000), (2.0, 1000)),
+        )
+        text = scenario_text(cfg)
+        names = [f.name for f in dataclasses.fields(SimConfig)]
+        assert [line.split(" = ")[0] for line in text.splitlines()] == names
+        assert parse_scenario_text(text) == cfg
+        summary = summarize(run(cfg))
+        for name in names:
+            assert f"config_{name}" in summary
+        assert summary["config_node_count"] == 3
+        assert summary["config_radio_range"] == 100.0
+        assert summary["config_rate_schedule"] == "0.0:2000,2.0:1000"
+
     def test_rate_schedule_syntax(self):
         assert parse_rate_schedule("60:1000, 0:2000") == ((0.0, 2000), (60.0, 1000))
         with pytest.raises(ConfigError):
@@ -80,6 +169,10 @@ class TestCmdRun:
     def test_bad_scenario_key_exits_2(self, tmp_path):
         scn = write_scenario(tmp_path, "warp_speed = 9\n")
         assert main(["run", scn]) == EXIT_CONFIG
+
+    def test_non_finite_radio_range_exits_2(self, tmp_path):
+        scn = write_scenario(tmp_path, "node_count = 4\nradio_range = nan\n")
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_same_seed_twice_identical_outputs(self, tmp_path):
         scn = write_scenario(
