@@ -149,10 +149,14 @@ class SimConfig:
             "duplicate_ttl_s",
             "sim_duration_s",
         ):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if _us(getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be at least 1 microsecond")
         if self.sim_duration_s < self.packet_interval_s:
             raise ConfigError("sim_duration_s must be at least packet_interval_s")
+        # A node's next fresh copy of a key then comes after its hold of the
+        # last one has ended, so it never holds two copies of one key.
+        if self.duplicate_ttl_s < self.hold_time_s:
+            raise ConfigError("duplicate_ttl_s must be at least hold_time_s")
         if self.mode not in (MODE_RELAY, MODE_BLIND):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.inflight not in (INFLIGHT_DELIVER, INFLIGHT_DROP):
@@ -164,6 +168,9 @@ class SimConfig:
         for t, bits in self.rate_schedule:
             if not (math.isfinite(t) and t >= 0) or bits < 1:
                 raise ConfigError(f"bad rate_schedule entry ({t}, {bits})")
+        times = [t for t, _ in self.rate_schedule]
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise ConfigError("rate_schedule times must be strictly increasing")
 
 
 def _us(seconds: float) -> int:
@@ -186,7 +193,7 @@ def transmit(
 
 def _rate_schedule_payload(cfg: SimConfig, now_us: int) -> int:
     payload = cfg.payload_bits
-    for t, bits in sorted(cfg.rate_schedule):
+    for t, bits in cfg.rate_schedule:
         if _us(t) <= now_us:
             payload = bits
         else:
@@ -197,7 +204,7 @@ def _rate_schedule_payload(cfg: SimConfig, now_us: int) -> int:
 def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
     """Identity of a scenario minus its flood mode, for paired comparisons."""
     label = cfg.fixture if cfg.fixture else cfg.placement
-    schedule_part = ",".join(f"{t}:{b}" for t, b in sorted(cfg.rate_schedule))
+    schedule_part = ",".join(f"{t}:{b}" for t, b in cfg.rate_schedule)
     return (
         f"{label}|n={len(topo.nodes)}|range={topo.radio_range!r}"
         f"|seed={cfg.seed}|dur={cfg.sim_duration_s!r}"
@@ -219,12 +226,12 @@ class _Run:
         self.assignment: RelayAssignment = select_relays(topo, cfg.relay_order)
         self.initial_assignment = self.assignment
         self.relay_recomputes = 1
+        self.hold_us = _us(cfg.hold_time_s)
         self.states = {
             u: NodeProtocolState(
                 node_id=u,
                 is_relay=u in self.assignment.relay_set,
                 duplicate_ttl_us=_us(cfg.duplicate_ttl_s),
-                hold_time_us=_us(cfg.hold_time_s),
             )
             for u in topo.node_ids()
         }
@@ -388,26 +395,21 @@ class _Run:
             if action is Action.DELIVER_AND_RELAY:
                 self.queue.push(
                     Event(
-                        ev.time_us + state.hold_time_us,
+                        ev.time_us + self.hold_us,
                         EventKind.RELAY_EMIT,
                         v,
-                        data=(pkt.key,),
+                        data=(pkt,),
                     )
                 )
 
     def handle_relay_emit(self, ev: Event) -> None:
-        (key,) = ev.data
-        out = release_hold(self.states[ev.subject], key, self.cfg.header_bits_per_relay)
-        if out is not None:
-            self._emit_from_relay(ev.subject, out, ev.time_us)
+        (pkt,) = ev.data
+        out = release_hold(ev.subject, pkt, self.cfg.header_bits_per_relay)
+        self._emit_from_relay(ev.subject, out, ev.time_us)
 
     def handle_cache_expiry(self, ev: Event) -> None:
-        eviction = expire_caches(
-            self.states[ev.subject], ev.time_us, self.cfg.header_bits_per_relay
-        )
+        eviction = expire_caches(self.states[ev.subject], ev.time_us)
         self.cache_evictions += len(eviction.seen_keys)
-        for out in eviction.flushed:
-            self._emit_from_relay(ev.subject, out, ev.time_us)
 
     def handle_topo_control(self, _ev: Event) -> None:
         if self.assignment.epoch != self.topo.epoch:
@@ -481,7 +483,7 @@ class _Run:
             config_radio_range=self.initial_topo.radio_range,
             config_fixture=cfg.fixture or "",
             config_rate_schedule=",".join(
-                f"{t}:{b}" for t, b in sorted(cfg.rate_schedule)
+                f"{t}:{b}" for t, b in cfg.rate_schedule
             ),
         )
         series.meta.update(

@@ -8,10 +8,10 @@ Two rules govern a relay's retransmission decision:
      relay serves (one of its selectors) or from the packet's origin when
      the origin is a direct neighbor.
 
-A forwarded packet sits in the hold buffer for the configured hold time and
-leaves with its header grown by one relay-header increment and the emitter
-rewritten to the forwarding node. Blind flooding shares the duplicate cache
-but retransmits every first-seen packet at every node.
+A forwarded packet waits out the configured hold time in its own RELAY_EMIT
+event and leaves with its header grown by one relay-header increment and the
+emitter rewritten to the forwarding node. Blind flooding shares the duplicate
+cache but retransmits every first-seen packet at every node.
 
 All time arguments are integer microseconds.
 """
@@ -25,8 +25,6 @@ from .errors import ProtocolViolationError
 from .relays import RelayAssignment
 
 DEFAULT_PAYLOAD_BITS = 2000
-DEFAULT_HEADER_BITS_PER_RELAY = 200
-DEFAULT_HOLD_TIME_US = 6_000_000
 DEFAULT_DUPLICATE_TTL_US = 30_000_000
 
 
@@ -58,22 +56,24 @@ class Packet:
 
 @dataclass
 class NodeProtocolState:
-    """Mutable per-node forwarding state, owned by the engine's event loop."""
+    """Mutable per-node forwarding state, owned by the engine's event loop.
+
+    Only the duplicate cache lives here; a held packet is carried by the
+    engine's RELAY_EMIT event until its hold ends.
+    """
 
     node_id: int
     is_relay: bool = False
     duplicate_ttl_us: int = DEFAULT_DUPLICATE_TTL_US
-    hold_time_us: int = DEFAULT_HOLD_TIME_US
     seen: dict[tuple[int, int], int] = field(default_factory=dict)
-    hold_buffer: dict[tuple[int, int], tuple[Packet, int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Eviction:
-    """What expire_caches removed: aged cache keys and force-flushed packets."""
+    """What expire_caches removed: the aged cache keys."""
 
     seen_keys: tuple[tuple[int, int], ...]
-    flushed: tuple[Packet, ...]
+    flushed: tuple[Packet, ...] = ()  # always empty; benches/tracer.py reads it
 
 
 def emitter_eligible(
@@ -122,7 +122,6 @@ def on_receive(
     if state.is_relay and (
         not rule2 or emitter_eligible(state, pkt, relays, neighbors)
     ):
-        state.hold_buffer[pkt.key] = (pkt, now_us)
         return Action.DELIVER_AND_RELAY
     return Action.DELIVER_ONLY
 
@@ -141,52 +140,24 @@ def blind_flood_on_receive(
     if not _fresh(state, pkt.key, now_us):
         return Action.DROP_DUPLICATE
     state.seen[pkt.key] = now_us
-    state.hold_buffer[pkt.key] = (pkt, now_us)
     return Action.DELIVER_AND_RELAY
 
 
-def release_hold(
-    state: NodeProtocolState,
-    key: tuple[int, int],
-    header_increment: int = DEFAULT_HEADER_BITS_PER_RELAY,
-) -> Packet | None:
-    """Take a held packet out of the buffer, ready to go back on the wire.
-
-    The outgoing copy carries one more relay-header increment and names this
-    node as its emitter. Returns None when the key is no longer held.
-    """
-    entry = state.hold_buffer.pop(key, None)
-    if entry is None:
-        return None
-    pkt, _ = entry
+def release_hold(node_id: int, pkt: Packet, header_increment: int) -> Packet:
+    """The copy of a held packet that goes back on the wire: one more
+    relay-header increment, and `node_id` named as its emitter."""
     return replace(
-        pkt,
-        header_bits=pkt.header_bits + header_increment,
-        emitter=state.node_id,
+        pkt, header_bits=pkt.header_bits + header_increment, emitter=node_id
     )
 
 
-def expire_caches(
-    state: NodeProtocolState,
-    now_us: int,
-    header_increment: int = DEFAULT_HEADER_BITS_PER_RELAY,
-) -> Eviction:
-    """Drop cache entries older than the TTL; force-flush overdue held packets.
+def expire_caches(state: NodeProtocolState, now_us: int) -> Eviction:
+    """Drop cache entries older than the TTL.
 
-    An entry aged exactly the TTL (or a hold aged exactly the hold time) is
-    retained: the scheduled flush event at that instant handles it.
+    An entry aged exactly the TTL is retained, so a copy arriving at that
+    instant is still a duplicate.
     """
     aged = [k for k, t0 in state.seen.items() if now_us - t0 > state.duplicate_ttl_us]
     for k in aged:
         del state.seen[k]
-
-    overdue = [
-        k for k, (_, t0) in state.hold_buffer.items()
-        if now_us - t0 > state.hold_time_us
-    ]
-    flushed = []
-    for k in overdue:
-        out = release_hold(state, k, header_increment)
-        if out is not None:
-            flushed.append(out)
-    return Eviction(seen_keys=tuple(aged), flushed=tuple(flushed))
+    return Eviction(seen_keys=tuple(aged))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshflood import metrics as mx
 from meshflood.engine import (
@@ -126,6 +128,12 @@ class TestConfigValidation:
             {"packet_interval_s": math.nan},
             {"mobility_displacement": math.nan},
             {"rate_schedule": ((math.nan, 2000),)},
+            {"packet_interval_s": 1e-7},
+            {"topo_control_interval_s": 1e-7},
+            {"topo_stability_s": 1e-7},
+            {"duplicate_ttl_s": 2.0},
+            {"rate_schedule": ((0.0, 3000), (0.0, 1000))},
+            {"rate_schedule": ((10.0, 1000), (0.0, 2000))},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -133,7 +141,36 @@ class TestConfigValidation:
             SimConfig(**kwargs).validate()
 
 
+@st.composite
+def small_blind_configs(draw):
+    kind = draw(st.sampled_from(["path", "grid", "k"]))
+    size = draw(st.sampled_from([4, 9]) if kind == "grid" else st.integers(1, 6))
+    hold = draw(st.sampled_from([0.5, 1.0, 2.0, 6.0]))
+    return SimConfig(
+        fixture=f"{kind}:{size}",
+        mode="blind",
+        repeat_seq=draw(st.booleans()),
+        hold_time_s=hold,
+        duplicate_ttl_s=draw(st.floats(min_value=hold, max_value=3 * hold)),
+        packet_interval_s=draw(st.sampled_from([0.5, 1.0, 2.5])),
+        mobility_displacement=draw(st.sampled_from([0.0, 60.0])),
+        topo_stability_s=5.0,
+        sim_duration_s=15.0,
+    )
+
+
 class TestRun:
+    @settings(max_examples=40, deadline=None)
+    @given(small_blind_configs())
+    def test_every_blind_relay_decision_leaves_exactly_once(self, cfg):
+        # In blind mode each first reception is held once and released once:
+        # sent, or truncated at the drain cutoff.
+        sm = mx.summarize(run(cfg))
+        assert (
+            sm["total_packets_relayed"] + sm["relays_truncated"]
+            == sm["total_packets_received_first"]
+        )
+
     def test_duration_over_interval_gives_exact_emission_count(self):
         series = run(SimConfig(fixture="fig3", sim_duration_s=300, packet_interval_s=2))
         assert series.meta["source_emissions"] == 150

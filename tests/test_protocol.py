@@ -92,7 +92,6 @@ class TestOnReceive:
         pkt = Packet(origin=0, seq=0, emitter=1, header_bits=200)
         action = on_receive(state, pkt, relays, t.adjacency[4], now_us=0)
         assert action is Action.DELIVER_ONLY
-        assert not state.hold_buffer
 
     def test_duplicate_dropped_even_at_relay(self):
         t = fig3_topology()
@@ -103,7 +102,6 @@ class TestOnReceive:
         assert first is Action.DELIVER_AND_RELAY
         again = on_receive(state, pkt, relays, t.adjacency[1], now_us=5 * S)
         assert again is Action.DROP_DUPLICATE
-        assert len(state.hold_buffer) == 1
 
     def test_relay_holds_fresh_packet_from_selector(self):
         t = fig3_topology()
@@ -112,7 +110,6 @@ class TestOnReceive:
         pkt = Packet(origin=0, seq=3, emitter=0)
         action = on_receive(state, pkt, relays, t.adjacency[1], now_us=7 * S)
         assert action is Action.DELIVER_AND_RELAY
-        assert state.hold_buffer[(0, 3)] == (pkt, 7 * S)
 
     def test_ineligible_emitter_delivers_only(self):
         t = hub_topology()
@@ -121,7 +118,6 @@ class TestOnReceive:
         pkt = Packet(origin=1, seq=0, emitter=3)
         action = on_receive(state, pkt, relays, t.adjacency[0], now_us=0)
         assert action is Action.DELIVER_ONLY
-        assert not state.hold_buffer
         # ... and the later copy from an eligible selector is already a dup.
         again = on_receive(
             state, Packet(origin=1, seq=0, emitter=1), relays, t.adjacency[0], 1 * S
@@ -166,17 +162,12 @@ class TestBlindFlood:
 
 class TestHoldBuffer:
     def test_release_grows_header_and_rewrites_emitter(self):
-        state = make_state(1, True)
         pkt = Packet(origin=0, seq=0, payload_bits=2000, header_bits=0, emitter=0)
-        state.hold_buffer[pkt.key] = (pkt, 0)
-        out = release_hold(state, pkt.key, 200)
+        out = release_hold(1, pkt, 200)
         assert out.header_bits == 200
         assert out.emitter == 1
         assert out.wire_size_bits == 2200
-        assert not state.hold_buffer
-
-    def test_release_missing_key_returns_none(self):
-        assert release_hold(make_state(1, True), (0, 9), 200) is None
+        assert out.key == pkt.key
 
 
 class TestExpireCaches:
@@ -197,22 +188,6 @@ class TestExpireCaches:
         state = make_state(2, False)
         state.seen[(0, 0)] = 0
         assert expire_caches(state, 30 * S).seen_keys == ()
-
-    def test_overdue_hold_flushed_exactly_once(self):
-        state = make_state(1, True)
-        pkt = Packet(origin=0, seq=0, emitter=0)
-        state.hold_buffer[pkt.key] = (pkt, 0)
-        eviction = expire_caches(state, 6 * S + 1, header_increment=200)
-        assert len(eviction.flushed) == 1
-        assert eviction.flushed[0].header_bits == 200
-        assert expire_caches(state, 7 * S).flushed == ()
-
-    def test_hold_at_exactly_hold_time_left_for_scheduled_flush(self):
-        state = make_state(1, True)
-        pkt = Packet(origin=0, seq=0, emitter=0)
-        state.hold_buffer[pkt.key] = (pkt, 0)
-        assert expire_caches(state, 6 * S).flushed == ()
-        assert pkt.key in state.hold_buffer
 
     def test_stale_entry_no_longer_blocks_reception(self):
         t = fig3_topology()

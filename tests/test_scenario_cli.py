@@ -52,6 +52,18 @@ _FIELD_VALUES = {
         ),
         max_size=3,
     ).map(lambda entries: tuple(sorted(entries))),
+    # Durations must be at least one microsecond.
+    **dict.fromkeys(
+        (
+            "packet_interval_s",
+            "topo_control_interval_s",
+            "hold_time_s",
+            "topo_stability_s",
+            "duplicate_ttl_s",
+            "sim_duration_s",
+        ),
+        st.floats(min_value=1e-6, max_value=1e12),
+    ),
 }
 _TYPE_VALUES = {
     bool: st.booleans(),
@@ -172,6 +184,20 @@ class TestCmdRun:
 
     def test_non_finite_radio_range_exits_2(self, tmp_path):
         scn = write_scenario(tmp_path, "node_count = 4\nradio_range = nan\n")
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_equal_rate_schedule_times_exit_2(self, tmp_path):
+        scn = write_scenario(
+            tmp_path, "fixture = path:2\nrate_schedule = 0:3000,0:1000\n"
+        )
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_duplicate_ttl_below_hold_time_exits_2(self, tmp_path):
+        scn = write_scenario(
+            tmp_path,
+            "fixture = path:4\nmode = blind\nrepeat_seq = on\n"
+            "packet_interval_s = 2.5\nduplicate_ttl_s = 2\n",
+        )
         assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_same_seed_twice_identical_outputs(self, tmp_path):
