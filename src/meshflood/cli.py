@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error (bad scenario file, size cap),
 3 accounting-invariant violation, 4 oracle coverage failure.
+
+`run` and `compare` echo each summary flag of a run that defeats itself
+(see WARNING_KEYS) to stderr as `warning: <key>=<value> (<summary file>)`;
+the exit code does not change.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from pathlib import Path
 
 from .engine import MODE_BLIND, MODE_RELAY, SimConfig, run, scenario_topology
 from .errors import AccountingError, ConfigError, MeshFloodError, SizeLimitError
-from .metrics import compare, export_csv, export_summary, summarize
+from .metrics import compare, export_csv, export_summary, format_value, summarize
 from .relays import (
     brute_force_min_relays,
     coverage_check,
@@ -28,6 +32,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ACCOUNTING = 3
 EXIT_ORACLE = 4
+
+# Summary keys that flag a run whose result means little: a disconnected
+# start, a node emitting more bits per second than the channel carries,
+# copies of a key relayed again by one node, and relays cut off at the drain
+# cutoff.
+WARNING_KEYS = (
+    "warning_disconnected",
+    "channel_overloaded",
+    "relay_loop_violations",
+    "relays_truncated",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,6 +97,16 @@ def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
     return cfg
 
 
+def _write_summary(summary: dict, path: Path) -> None:
+    export_summary(summary, path)
+    for key in WARNING_KEYS:
+        if summary[key]:
+            print(
+                f"warning: {key}={format_value(summary[key])} ({path})",
+                file=sys.stderr,
+            )
+
+
 def _run_one(
     cfg: SimConfig, out_dir: Path, dump_topology: bool, dump_relay_sets: bool
 ) -> int:
@@ -89,7 +114,7 @@ def _run_one(
     series = run(cfg, topo)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(series, out_dir / "series.csv")
-    export_summary(summarize(series), out_dir / "summary.txt")
+    _write_summary(summarize(series), out_dir / "summary.txt")
     if dump_topology:
         save_topology(topo, out_dir / "topology.txt")
     if dump_relay_sets:
@@ -133,7 +158,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         series = run(dataclasses.replace(cfg, mode=mode), topo)
         export_csv(series, out / f"series_{mode}.csv")
         summaries[mode] = summarize(series)
-        export_summary(summaries[mode], out / f"summary_{mode}.txt")
+        _write_summary(summaries[mode], out / f"summary_{mode}.txt")
 
     report = compare(summaries[MODE_RELAY], summaries[MODE_BLIND])
     export_summary(report, out / "compare.txt")

@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from . import metrics as mx
 from .errors import AccountingError, ConfigError
@@ -68,8 +69,7 @@ class EventKind(IntEnum):
     RECEIVE = 5
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time_us: int
     kind: EventKind
     subject: int
@@ -188,7 +188,7 @@ def transmit(
     """Broadcast one copy: every current neighbor receives it after the
     serialization delay. Returns (arrival time, receivers in id order)."""
     delay = serialization_delay_us(pkt.wire_size_bits, channel_bps)
-    return now_us + delay, tuple(sorted(t.adjacency[emitter]))
+    return now_us + delay, t.sorted_neighbors[emitter]
 
 
 def _rate_schedule_payload(cfg: SimConfig, now_us: int) -> int:
@@ -227,11 +227,15 @@ class _Run:
         self.initial_assignment = self.assignment
         self.relay_recomputes = 1
         self.hold_us = _us(cfg.hold_time_s)
+        ttl_us = _us(cfg.duplicate_ttl_s)
+        # A fresh cache entry expires just past the TTL boundary; entries
+        # aged exactly the TTL are retained.
+        self.expiry_us = ttl_us + 1
         self.states = {
             u: NodeProtocolState(
                 node_id=u,
                 is_relay=u in self.assignment.relay_set,
-                duplicate_ttl_us=_us(cfg.duplicate_ttl_s),
+                duplicate_ttl_us=ttl_us,
             )
             for u in topo.node_ids()
         }
@@ -294,9 +298,6 @@ class _Run:
 
     # -- traffic helpers ------------------------------------------------
 
-    def _record(self, now_us: int, node: int, counter: str, amount: int) -> None:
-        self.series.record(now_us / US, node, counter, amount)
-
     def _broadcast(self, pkt: Packet, now_us: int) -> None:
         arrival, receivers = transmit(
             self.topo, pkt.emitter, pkt, now_us, self.cfg.channel_bps
@@ -314,18 +315,8 @@ class _Run:
                 )
             )
 
-    def _note_seen(self, node: int, key, before: int | None, now_us: int) -> None:
-        # A fresh (or refreshed) cache entry gets its own expiry event just
-        # past the TTL boundary; entries aged exactly the TTL are retained.
-        after = self.states[node].seen.get(key)
-        if after == now_us and after != before:
-            self.queue.push(
-                Event(
-                    now_us + self.states[node].duplicate_ttl_us + 1,
-                    EventKind.CACHE_EXPIRY,
-                    node,
-                )
-            )
+    def _push_expiry(self, node: int, now_us: int) -> None:
+        self.queue.push(Event(now_us + self.expiry_us, EventKind.CACHE_EXPIRY, node))
 
     def _emit_from_relay(self, node: int, out: Packet, now_us: int) -> None:
         if now_us >= self.cutoff_us:
@@ -334,8 +325,9 @@ class _Run:
         if out.key in self.relayed_keys[node]:
             self.relay_loop_violations += 1
         self.relayed_keys[node].add(out.key)
-        self._record(now_us, node, mx.BITS_RELAYED, out.wire_size_bits)
-        self._record(now_us, node, mx.PACKETS_RELAYED, 1)
+        t = now_us / US
+        self.series.record(t, (node,), mx.BITS_RELAYED, out.wire_size_bits)
+        self.series.record(t, (node,), mx.PACKETS_RELAYED, 1)
         self._broadcast(out, now_us)
 
     # -- event handlers ---------------------------------------------------
@@ -352,55 +344,61 @@ class _Run:
             emitter=self.source,
             created_at_us=ev.time_us,
         )
-        state = self.states[self.source]
-        before = state.seen.get(pkt.key)
-        if before is None:
-            state.seen[pkt.key] = ev.time_us
-        self._note_seen(self.source, pkt.key, before, ev.time_us)
-        self._record(ev.time_us, self.source, mx.BITS_SENT, pkt.wire_size_bits)
-        self._record(ev.time_us, self.source, mx.PACKETS_SENT, 1)
+        seen = self.states[self.source].seen
+        if pkt.key not in seen:
+            seen[pkt.key] = ev.time_us
+            self._push_expiry(self.source, ev.time_us)
+        t = ev.time_us / US
+        self.series.record(t, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
+        self.series.record(t, (self.source,), mx.PACKETS_SENT, 1)
         self._broadcast(pkt, ev.time_us)
 
     def handle_receive(self, ev: Event) -> None:
         pkt, receivers, emit_topo = ev.data
         cfg = self.cfg
+        now = ev.time_us
+        key = pkt.key
         wire = pkt.wire_size_bits
         drop_stale = (
             cfg.inflight == INFLIGHT_DROP and emit_topo.epoch != self.topo.epoch
         )
+        blind = cfg.mode == MODE_BLIND
+        lost, dups, firsts = [], [], []
         for v in receivers:
             if drop_stale and pkt.emitter not in self.topo.adjacency[v]:
-                self.lost_bits += wire
-                self.lost_packets += 1
-                self._record(ev.time_us, v, mx.BITS_LOST, wire)
-                self._record(ev.time_us, v, mx.PACKETS_LOST, 1)
+                lost.append(v)
                 continue
             state = self.states[v]
             neighbors = emit_topo.adjacency[v]
-            before = state.seen.get(pkt.key)
-            if cfg.mode == MODE_BLIND:
-                action = blind_flood_on_receive(state, pkt, neighbors, ev.time_us)
+            if blind:
+                action = blind_flood_on_receive(state, pkt, neighbors, now)
             else:
                 action = on_receive(
-                    state, pkt, self.assignment, neighbors, ev.time_us, cfg.rule2
+                    state, pkt, self.assignment, neighbors, now, cfg.rule2
                 )
-            self._note_seen(v, pkt.key, before, ev.time_us)
             if action is Action.DROP_DUPLICATE:
-                self._record(ev.time_us, v, mx.BITS_RECEIVED_DUP, wire)
-                self._record(ev.time_us, v, mx.PACKETS_RECEIVED_DUP, 1)
+                dups.append(v)
                 continue
-            self._record(ev.time_us, v, mx.BITS_RECEIVED_FIRST, wire)
-            self._record(ev.time_us, v, mx.PACKETS_RECEIVED_FIRST, 1)
-            self.delivered_keys[v].add(pkt.key)
+            # Both receive functions wrote seen[key] = now: a fresh entry.
+            firsts.append(v)
+            self._push_expiry(v, now)
+            self.delivered_keys[v].add(key)
             if action is Action.DELIVER_AND_RELAY:
                 self.queue.push(
-                    Event(
-                        ev.time_us + self.hold_us,
-                        EventKind.RELAY_EMIT,
-                        v,
-                        data=(pkt,),
-                    )
+                    Event(now + self.hold_us, EventKind.RELAY_EMIT, v, data=(pkt,))
                 )
+        self.lost_bits += wire * len(lost)
+        self.lost_packets += len(lost)
+        t = now / US
+        record = self.series.record
+        for nodes, bits_counter, packets_counter in (
+            (lost, mx.BITS_LOST, mx.PACKETS_LOST),
+            (dups, mx.BITS_RECEIVED_DUP, mx.PACKETS_RECEIVED_DUP),
+            (firsts, mx.BITS_RECEIVED_FIRST, mx.PACKETS_RECEIVED_FIRST),
+        ):
+            if nodes:
+                record(t, nodes, bits_counter, wire)
+                record(t, nodes, packets_counter, 1)
 
     def handle_relay_emit(self, ev: Event) -> None:
         (pkt,) = ev.data
@@ -444,9 +442,10 @@ class _Run:
 
     def _finalize(self) -> None:
         series = self.series
+        totals = series.counter_total()
         got_bits = (
-            series.counter_total(mx.BITS_RECEIVED_FIRST)
-            + series.counter_total(mx.BITS_RECEIVED_DUP)
+            totals.get(mx.BITS_RECEIVED_FIRST, 0)
+            + totals.get(mx.BITS_RECEIVED_DUP, 0)
             + self.lost_bits
         )
         if got_bits != self.expected_bits:
@@ -455,8 +454,8 @@ class _Run:
                 f"accounted {got_bits}"
             )
         got_packets = (
-            series.counter_total(mx.PACKETS_RECEIVED_FIRST)
-            + series.counter_total(mx.PACKETS_RECEIVED_DUP)
+            totals.get(mx.PACKETS_RECEIVED_FIRST, 0)
+            + totals.get(mx.PACKETS_RECEIVED_DUP, 0)
             + self.lost_packets
         )
         if got_packets != self.expected_packets:
@@ -495,7 +494,7 @@ class _Run:
                 "delivering_nodes": len(delivering),
                 "min_distinct_delivered": min(distinct, default=0),
                 "max_distinct_delivered": max(distinct, default=0),
-                "source_emissions": series.counter_total(mx.PACKETS_SENT),
+                "source_emissions": totals.get(mx.PACKETS_SENT, 0),
                 "relay_set_size": len(self.initial_assignment.relays),
                 "cardinality_card_R": card.card_R,
                 "cardinality_card_V": card.card_V,

@@ -13,6 +13,7 @@ is exact, never approximate.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import AccountingError, ComparisonError
@@ -49,26 +50,36 @@ class MetricsSeries:
         if self.horizon_s is None:
             self.horizon_s = self.duration_s
 
-    def record(self, t: float, node: int, counter: str, amount: int) -> None:
-        """Add `amount` to the bucket for second floor(t) at `node`."""
+    def record(
+        self, t: float, nodes: Collection[int], counter: str, amount: int
+    ) -> None:
+        """Add `amount` to `counter` at every node in `nodes`, in the bucket
+        for second floor(t). An empty `nodes` leaves the buckets unchanged."""
         if amount < 0:
             raise AccountingError(f"negative amount {amount} for {counter}")
         if t < 0 or t >= self.horizon_s:
             raise AccountingError(
                 f"record at t={t} outside horizon [0, {self.horizon_s})"
             )
+        if not nodes:
+            return
         bucket = self.buckets.setdefault(int(math.floor(t)), {})
-        node_counters = bucket.setdefault(node, {})
-        node_counters[counter] = node_counters.get(counter, 0) + amount
+        for node in nodes:
+            node_counters = bucket.get(node)
+            if node_counters is None:
+                bucket[node] = {counter: amount}
+            else:
+                node_counters[counter] = node_counters.get(counter, 0) + amount
 
-    def counter_total(self, counter: str, node: int | None = None) -> int:
-        """Sum one counter across all buckets, optionally for a single node."""
-        total = 0
+    def counter_total(self) -> dict[str, int]:
+        """Every counter summed across all buckets and nodes, from one scan.
+        A counter never recorded is absent (read it with `.get(name, 0)`)."""
+        totals: dict[str, int] = {}
         for per_node in self.buckets.values():
-            for n, counters in per_node.items():
-                if node is None or n == node:
-                    total += counters.get(counter, 0)
-        return total
+            for counters in per_node.values():
+                for name, value in counters.items():
+                    totals[name] = totals.get(name, 0) + value
+        return totals
 
     def node_totals(self, counter: str) -> dict[int, int]:
         totals: dict[int, int] = {}
@@ -125,7 +136,7 @@ def parse_csv(path) -> dict[int, dict[int, dict[str, int]]]:
     return buckets
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -136,6 +147,7 @@ def _format_value(value) -> str:
 def summarize(series: MetricsSeries) -> dict:
     """Flatten run totals and engine metadata into a single key/value record."""
     summary = dict(series.meta)
+    totals = series.counter_total()
     for counter in (
         BITS_SENT,
         BITS_RELAYED,
@@ -148,7 +160,7 @@ def summarize(series: MetricsSeries) -> dict:
         PACKETS_RECEIVED_DUP,
         PACKETS_LOST,
     ):
-        summary[f"total_{counter}"] = series.counter_total(counter)
+        summary[f"total_{counter}"] = totals.get(counter, 0)
 
     first = summary["total_" + PACKETS_RECEIVED_FIRST]
     dup = summary["total_" + PACKETS_RECEIVED_DUP]
@@ -162,7 +174,7 @@ def summarize(series: MetricsSeries) -> dict:
 
 def export_summary(summary: dict, path) -> None:
     """Write one `key=value` line per entry, keys sorted."""
-    lines = [f"{key}={_format_value(summary[key])}" for key in sorted(summary)]
+    lines = [f"{key}={format_value(summary[key])}" for key in sorted(summary)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

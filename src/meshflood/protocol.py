@@ -18,7 +18,7 @@ All time arguments are integer microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ProtocolViolationError
@@ -116,9 +116,10 @@ def on_receive(
         raise ProtocolViolationError(
             f"node {state.node_id} heard non-neighbor {pkt.emitter}"
         )
-    if not _fresh(state, pkt.key, now_us):
+    key = pkt.key
+    if not _fresh(state, key, now_us):
         return Action.DROP_DUPLICATE
-    state.seen[pkt.key] = now_us
+    state.seen[key] = now_us
     if state.is_relay and (
         not rule2 or emitter_eligible(state, pkt, relays, neighbors)
     ):
@@ -137,17 +138,23 @@ def blind_flood_on_receive(
         raise ProtocolViolationError(
             f"node {state.node_id} heard non-neighbor {pkt.emitter}"
         )
-    if not _fresh(state, pkt.key, now_us):
+    key = pkt.key
+    if not _fresh(state, key, now_us):
         return Action.DROP_DUPLICATE
-    state.seen[pkt.key] = now_us
+    state.seen[key] = now_us
     return Action.DELIVER_AND_RELAY
 
 
 def release_hold(node_id: int, pkt: Packet, header_increment: int) -> Packet:
     """The copy of a held packet that goes back on the wire: one more
     relay-header increment, and `node_id` named as its emitter."""
-    return replace(
-        pkt, header_bits=pkt.header_bits + header_increment, emitter=node_id
+    return Packet(
+        origin=pkt.origin,
+        seq=pkt.seq,
+        payload_bits=pkt.payload_bits,
+        header_bits=pkt.header_bits + header_increment,
+        emitter=node_id,
+        created_at_us=pkt.created_at_us,
     )
 
 

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import EmptyScenarioError, UnknownNodeError
 
@@ -66,6 +67,11 @@ class Topology:
 
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
+
+    @cached_property
+    def sorted_neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Each node's neighbors in id order, sorted once per snapshot."""
+        return {u: tuple(sorted(nbrs)) for u, nbrs in self.adjacency.items()}
 
     @property
     def source_id(self) -> int:

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from meshflood import metrics as mx
 from meshflood.engine import (
+    INFLIGHT_DELIVER,
+    INFLIGHT_DROP,
+    MODE_BLIND,
+    MODE_RELAY,
+    RELAY_ORDERS,
     Event,
     EventKind,
     EventQueue,
@@ -16,8 +21,9 @@ from meshflood.engine import (
     transmit,
 )
 from meshflood.errors import ConfigError
-from meshflood.fixtures import fig3_topology, path_topology
+from meshflood.fixtures import fig3_topology, path_topology, random_connected_topology
 from meshflood.protocol import Packet
+from meshflood.topology import MobilityStep, reconfigure
 
 
 class TestEventQueue:
@@ -106,6 +112,15 @@ class TestTransmit:
         assert receivers == (1, 2, 3)
         assert arrival == 1_000 + 181
 
+    def test_receivers_are_each_epochs_neighbors_in_id_order(self):
+        t = random_connected_topology(60, 3)
+        moved = reconfigure(t, MobilityStep(50.0), 7)
+        pkt = Packet(origin=0, seq=0, emitter=0)
+        for topo in (t, moved):
+            for u in topo.node_ids():
+                _, receivers = transmit(topo, u, pkt, 0, 11_000_000)
+                assert receivers == tuple(sorted(topo.adjacency[u]))
+
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):
@@ -159,7 +174,62 @@ def small_blind_configs(draw):
     )
 
 
+@st.composite
+def small_configs(draw):
+    layout = draw(st.sampled_from(["path", "grid", "k", "uniform"]))
+    if layout == "uniform":
+        placement = {
+            "placement": "uniform",
+            "node_count": draw(st.integers(2, 16)),
+            "radio_range": draw(st.sampled_from([150.0, 250.0])),
+            "seed": draw(st.integers(0, 50)),
+        }
+    else:
+        size = draw(st.sampled_from([4, 9]) if layout == "grid" else st.integers(1, 6))
+        placement = {"fixture": f"{layout}:{size}"}
+    hold = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return SimConfig(
+        **placement,
+        mode=draw(st.sampled_from([MODE_RELAY, MODE_BLIND])),
+        inflight=draw(st.sampled_from([INFLIGHT_DELIVER, INFLIGHT_DROP])),
+        rule2=draw(st.booleans()),
+        relay_order=draw(st.sampled_from(RELAY_ORDERS)),
+        repeat_seq=draw(st.booleans()),
+        # A 0.1 s serialization lets copies straddle a reconfiguration.
+        channel_bps=draw(st.sampled_from([11_000_000, 20_000])),
+        hold_time_s=hold,
+        duplicate_ttl_s=draw(st.floats(min_value=hold, max_value=3 * hold)),
+        packet_interval_s=draw(st.sampled_from([0.5, 1.0, 2.5])),
+        mobility_displacement=draw(st.sampled_from([0.0, 60.0])),
+        topo_stability_s=draw(st.sampled_from([1.0, 5.0])),
+        sim_duration_s=15.0,
+    )
+
+
 class TestRun:
+    @settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_conservation_and_exactly_once_across_configs(self, cfg):
+        # run() raises AccountingError if its own conservation check fails.
+        sm = mx.summarize(run(cfg))
+        assert (
+            sm["total_bits_received_first"]
+            + sm["total_bits_received_dup"]
+            + sm["total_bits_lost_in_transit"]
+            == sm["conservation_sent_bits"]
+        )
+        # Exactly once: every other node takes each distinct flood once. It
+        # needs a connected static mesh with another node, and a new key per
+        # flood.
+        static = cfg.mobility_displacement == 0
+        connected = not sm["warning_disconnected"] and sm["reachable_nodes"] > 0
+        if static and connected and not cfg.repeat_seq:
+            assert (
+                sm["min_distinct_delivered"]
+                == sm["max_distinct_delivered"]
+                == sm["source_emissions"]
+            )
+
     @settings(max_examples=40, deadline=None)
     @given(small_blind_configs())
     def test_every_blind_relay_decision_leaves_exactly_once(self, cfg):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meshflood import metrics as mx
 from meshflood.engine import SimConfig, run
@@ -16,29 +18,101 @@ from meshflood.metrics import (
 class TestRecord:
     def test_amount_lands_in_floor_bucket(self):
         series = MetricsSeries(duration_s=300)
-        series.record(0.5, 3, mx.BITS_SENT, 2000)
+        series.record(0.5, (3,), mx.BITS_SENT, 2000)
         assert series.buckets[0][3][mx.BITS_SENT] == 2000
 
     def test_same_bucket_is_additive(self):
         series = MetricsSeries(duration_s=300)
-        series.record(1.2, 3, mx.BITS_SENT, 100)
-        series.record(1.9, 3, mx.BITS_SENT, 50)
+        series.record(1.2, (3,), mx.BITS_SENT, 100)
+        series.record(1.9, (3,), mx.BITS_SENT, 50)
         assert series.buckets[1][3][mx.BITS_SENT] == 150
 
     def test_beyond_duration_rejected(self):
         series = MetricsSeries(duration_s=300)
         with pytest.raises(AccountingError):
-            series.record(300.0, 0, mx.BITS_SENT, 1)
+            series.record(300.0, (0,), mx.BITS_SENT, 1)
 
     def test_negative_amount_fatal(self):
         series = MetricsSeries(duration_s=300)
         with pytest.raises(AccountingError):
-            series.record(1.0, 0, mx.BITS_SENT, -5)
+            series.record(1.0, (0,), mx.BITS_SENT, -5)
 
     def test_negative_time_rejected(self):
         series = MetricsSeries(duration_s=300)
         with pytest.raises(AccountingError):
-            series.record(-0.1, 0, mx.BITS_SENT, 1)
+            series.record(-0.1, (0,), mx.BITS_SENT, 1)
+
+    def test_batch_adds_to_every_node(self):
+        series = MetricsSeries(duration_s=10)
+        series.record(2.5, (4, 1, 7), mx.BITS_RECEIVED_DUP, 300)
+        series.record(2.7, [1], mx.BITS_RECEIVED_DUP, 5)
+        assert series.buckets == {
+            2: {
+                4: {mx.BITS_RECEIVED_DUP: 300},
+                1: {mx.BITS_RECEIVED_DUP: 305},
+                7: {mx.BITS_RECEIVED_DUP: 300},
+            }
+        }
+
+    def test_empty_batch_leaves_buckets_unchanged(self):
+        series = MetricsSeries(duration_s=10)
+        series.record(3.0, (), mx.BITS_SENT, 10)
+        series.record(4.0, [], mx.PACKETS_SENT, 1)
+        assert series.buckets == {}
+
+    def test_empty_batch_is_still_checked(self):
+        series = MetricsSeries(duration_s=10)
+        with pytest.raises(AccountingError, match="negative amount"):
+            series.record(1.0, (), mx.BITS_SENT, -1)
+        with pytest.raises(AccountingError, match="outside horizon"):
+            series.record(10.0, (), mx.BITS_SENT, 1)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=9.999),
+                st.lists(st.integers(0, 6), max_size=5),
+                st.sampled_from([mx.BITS_SENT, mx.PACKETS_SENT, mx.BITS_LOST]),
+                st.integers(0, 10**6),
+            ),
+            max_size=30,
+        )
+    )
+    def test_batch_equals_one_call_per_cell(self, writes):
+        batched = MetricsSeries(duration_s=10)
+        single = MetricsSeries(duration_s=10)
+        for t, nodes, counter, amount in writes:
+            batched.record(t, nodes, counter, amount)
+            for node in nodes:
+                single.record(t, (node,), counter, amount)
+        assert batched.buckets == single.buckets
+
+        brute: dict[str, int] = {}
+        for per_node in batched.buckets.values():
+            for counters in per_node.values():
+                for name, value in counters.items():
+                    brute[name] = brute.get(name, 0) + value
+        assert batched.counter_total() == brute
+        assert all(per_node for per_node in batched.buckets.values())
+
+
+class TestCounterTotal:
+    def test_every_counter_from_one_call(self):
+        series = MetricsSeries(duration_s=10)
+        series.record(0.0, (0,), mx.BITS_SENT, 2000)
+        series.record(1.5, (1, 2), mx.BITS_RECEIVED_FIRST, 2000)
+        series.record(1.5, (1, 2), mx.PACKETS_RECEIVED_FIRST, 1)
+        series.record(7.0, (0,), mx.BITS_SENT, 900)
+        assert series.counter_total() == {
+            mx.BITS_SENT: 2900,
+            mx.BITS_RECEIVED_FIRST: 4000,
+            mx.PACKETS_RECEIVED_FIRST: 2,
+        }
+
+    def test_empty_series_has_no_totals(self):
+        totals = MetricsSeries(duration_s=10).counter_total()
+        assert totals == {}
+        assert totals.get(mx.BITS_LOST, 0) == 0
 
 
 class TestCsv:
@@ -49,16 +123,16 @@ class TestCsv:
 
     def test_single_record_two_lines(self, tmp_path):
         series = MetricsSeries(duration_s=10)
-        series.record(0.5, 2, mx.BITS_SENT, 2000)
+        series.record(0.5, (2,), mx.BITS_SENT, 2000)
         path = tmp_path / "series.csv"
         export_csv(series, path)
         assert path.read_text() == "t,node_id,counter,value\n0,2,bits_sent,2000\n"
 
     def test_rows_sorted_and_zero_buckets_omitted(self, tmp_path):
         series = MetricsSeries(duration_s=10)
-        series.record(5.0, 9, mx.BITS_RELAYED, 10)
-        series.record(2.0, 1, mx.BITS_SENT, 7)
-        series.record(2.0, 1, mx.PACKETS_SENT, 0)
+        series.record(5.0, (9,), mx.BITS_RELAYED, 10)
+        series.record(2.0, (1,), mx.BITS_SENT, 7)
+        series.record(2.0, (1,), mx.PACKETS_SENT, 0)
         path = tmp_path / "series.csv"
         export_csv(series, path)
         lines = path.read_text().splitlines()
@@ -83,9 +157,9 @@ class TestCsv:
 class TestSummary:
     def test_totals_match_counters(self):
         series = MetricsSeries(duration_s=10)
-        series.record(0.0, 0, mx.BITS_SENT, 2000)
-        series.record(0.1, 1, mx.BITS_RECEIVED_FIRST, 2000)
-        series.record(0.1, 1, mx.PACKETS_RECEIVED_FIRST, 1)
+        series.record(0.0, (0,), mx.BITS_SENT, 2000)
+        series.record(0.1, (1,), mx.BITS_RECEIVED_FIRST, 2000)
+        series.record(0.1, (1,), mx.PACKETS_RECEIVED_FIRST, 1)
         summary = summarize(series)
         assert summary["total_bits_sent"] == 2000
         assert summary["total_packets_received_first"] == 1
@@ -96,9 +170,9 @@ class TestSummary:
 
     def test_peak_tracks_emitted_bits(self):
         series = MetricsSeries(duration_s=10)
-        series.record(0.0, 0, mx.BITS_SENT, 2000)
-        series.record(0.2, 0, mx.BITS_RELAYED, 2200)
-        series.record(3.0, 1, mx.BITS_RELAYED, 2400)
+        series.record(0.0, (0,), mx.BITS_SENT, 2000)
+        series.record(0.2, (0,), mx.BITS_RELAYED, 2200)
+        series.record(3.0, (1,), mx.BITS_RELAYED, 2400)
         assert series.peak_node_bits_per_second() == 4200
 
     def test_export_sorted_keys_and_formats(self, tmp_path):

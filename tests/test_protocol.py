@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from meshflood.errors import ProtocolViolationError
@@ -168,6 +170,18 @@ class TestHoldBuffer:
         assert out.emitter == 1
         assert out.wire_size_bits == 2200
         assert out.key == pkt.key
+
+    def test_release_copies_every_other_field(self):
+        # A distinct value per field, so a field that release_hold forgets
+        # to copy (one added to Packet later, say) shows up as a default.
+        values = {
+            f.name: 101 + i for i, f in enumerate(dataclasses.fields(Packet))
+        }
+        pkt = Packet(**values)
+        expected = dataclasses.replace(
+            pkt, header_bits=pkt.header_bits + 7, emitter=5
+        )
+        assert release_hold(5, pkt, 7) == expected
 
 
 class TestExpireCaches:

@@ -242,6 +242,41 @@ class TestCmdRun:
         ).read_bytes()
 
 
+class TestWarnings:
+    def test_empty_scenario_warns_disconnected(self, tmp_path, capsys):
+        # The default 5x5 grid has 125 m spacing against a 120 m range.
+        scn = write_scenario(tmp_path, "")
+        out = tmp_path / "out"
+        assert main(["run", scn, "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: warning_disconnected=true ({out / 'summary.txt'})"]
+
+    def test_ttl_equal_to_hold_warns_relay_loops_in_both_modes(
+        self, tmp_path, capsys
+    ):
+        scn = write_scenario(
+            tmp_path,
+            "fixture = path:12\nduplicate_ttl_s = 1\nhold_time_s = 1\n"
+            "packet_interval_s = 0.5\nsim_duration_s = 30\n",
+        )
+        out = tmp_path / "cmp"
+        assert main(["compare", scn, "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        for mode in ("relay", "blind"):
+            summary = out / f"summary_{mode}.txt"
+            loops = [
+                line for line in summary.read_text().splitlines()
+                if line.startswith("relay_loop_violations=")
+            ]
+            assert loops != ["relay_loop_violations=0"]
+            assert f"warning: {loops[0]} ({summary})" in err
+
+    def test_clean_run_prints_nothing(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, "fixture = k:4\nsim_duration_s = 20\n")
+        assert main(["compare", scn, "--out", str(tmp_path / "cmp")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestCmdCompare:
     def test_k4_reports_75_percent(self, tmp_path):
         scn = write_scenario(tmp_path, "fixture = k:4\nsim_duration_s = 20\n")
