@@ -2,11 +2,10 @@
 
 Time is kept in integer microseconds so replaying a configuration is exact:
 equal-time events are totally ordered by (kind rank, subject id, insertion
-counter). Kind ranks put topology changes before relay recomputation before
-cache work before traffic at the same instant:
+counter). Kind ranks put topology changes before relay recomputation and
+the duplicate-cache sweep before traffic at the same instant:
 
-    TOPO_RECONFIGURE < TOPO_CONTROL < CACHE_EXPIRY < EMIT_FROM_SOURCE
-        < RELAY_EMIT < RECEIVE
+    TOPO_RECONFIGURE < TOPO_CONTROL < EMIT_FROM_SOURCE < RELAY_EMIT < RECEIVE
 
 The source emits on its interval for the configured duration; after the last
 scheduled second the loop keeps draining in-flight receptions and held
@@ -34,6 +33,7 @@ from .protocol import (
     Action,
     NodeProtocolState,
     Packet,
+    admit,
     blind_flood_on_receive,
     expire_caches,
     on_receive,
@@ -63,10 +63,9 @@ class EventKind(IntEnum):
 
     TOPO_RECONFIGURE = 0
     TOPO_CONTROL = 1
-    CACHE_EXPIRY = 2
-    EMIT_FROM_SOURCE = 3
-    RELAY_EMIT = 4
-    RECEIVE = 5
+    EMIT_FROM_SOURCE = 2
+    RELAY_EMIT = 3
+    RECEIVE = 4
 
 
 class Event(NamedTuple):
@@ -227,15 +226,11 @@ class _Run:
         self.initial_assignment = self.assignment
         self.relay_recomputes = 1
         self.hold_us = _us(cfg.hold_time_s)
-        ttl_us = _us(cfg.duplicate_ttl_s)
-        # A fresh cache entry expires just past the TTL boundary; entries
-        # aged exactly the TTL are retained.
-        self.expiry_us = ttl_us + 1
         self.states = {
             u: NodeProtocolState(
                 node_id=u,
                 is_relay=u in self.assignment.relay_set,
-                duplicate_ttl_us=ttl_us,
+                duplicate_ttl_us=_us(cfg.duplicate_ttl_s),
             )
             for u in topo.node_ids()
         }
@@ -245,7 +240,7 @@ class _Run:
         )
 
         # Drain allowance: one relay chain is at most one hop per node, each
-        # hop costing hold time plus serialization. Cache expiry can re-arm
+        # hop costing hold time plus serialization. TTL ageing can re-arm
         # relays while copies still circulate (slow links, mobility), so held
         # retransmissions due past the cutoff are truncated instead of
         # emitted; a truncated packet never goes on the wire, which keeps the
@@ -266,6 +261,8 @@ class _Run:
         self.expected_packets = 0
         self.lost_bits = 0
         self.lost_packets = 0
+        # Fresh cache entries written. Each would age out once the run has
+        # drained, so this is the summary's `cache_evictions`.
         self.cache_evictions = 0
         self.relay_loop_violations = 0
         self.relays_truncated = 0
@@ -315,9 +312,6 @@ class _Run:
                 )
             )
 
-    def _push_expiry(self, node: int, now_us: int) -> None:
-        self.queue.push(Event(now_us + self.expiry_us, EventKind.CACHE_EXPIRY, node))
-
     def _emit_from_relay(self, node: int, out: Packet, now_us: int) -> None:
         if now_us >= self.cutoff_us:
             self.relays_truncated += 1
@@ -344,10 +338,8 @@ class _Run:
             emitter=self.source,
             created_at_us=ev.time_us,
         )
-        seen = self.states[self.source].seen
-        if pkt.key not in seen:
-            seen[pkt.key] = ev.time_us
-            self._push_expiry(self.source, ev.time_us)
+        if admit(self.states[self.source], pkt.key, ev.time_us):
+            self.cache_evictions += 1
         t = ev.time_us / US
         self.series.record(t, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
         self.series.record(t, (self.source,), mx.PACKETS_SENT, 1)
@@ -381,7 +373,6 @@ class _Run:
                 continue
             # Both receive functions wrote seen[key] = now: a fresh entry.
             firsts.append(v)
-            self._push_expiry(v, now)
             self.delivered_keys[v].add(key)
             if action is Action.DELIVER_AND_RELAY:
                 self.queue.push(
@@ -389,6 +380,7 @@ class _Run:
                 )
         self.lost_bits += wire * len(lost)
         self.lost_packets += len(lost)
+        self.cache_evictions += len(firsts)
         t = now / US
         record = self.series.record
         for nodes, bits_counter, packets_counter in (
@@ -405,16 +397,16 @@ class _Run:
         out = release_hold(ev.subject, pkt, self.cfg.header_bits_per_relay)
         self._emit_from_relay(ev.subject, out, ev.time_us)
 
-    def handle_cache_expiry(self, ev: Event) -> None:
-        eviction = expire_caches(self.states[ev.subject], ev.time_us)
-        self.cache_evictions += len(eviction.seen_keys)
-
-    def handle_topo_control(self, _ev: Event) -> None:
+    def handle_topo_control(self, ev: Event) -> None:
         if self.assignment.epoch != self.topo.epoch:
             self.assignment = select_relays(self.topo, self.cfg.relay_order)
             self.relay_recomputes += 1
             for u, state in self.states.items():
                 state.is_relay = u in self.assignment.relay_set
+        # `admit` already ignores aged entries; sweeping them only bounds
+        # each cache to the keys of the last TTL plus one control interval.
+        for state in self.states.values():
+            expire_caches(state, ev.time_us)
 
     def handle_topo_reconfigure(self, _ev: Event) -> None:
         step = MobilityStep(self.cfg.mobility_displacement, self.area_side)
@@ -428,7 +420,6 @@ class _Run:
             EventKind.EMIT_FROM_SOURCE: self.handle_emit_from_source,
             EventKind.RECEIVE: self.handle_receive,
             EventKind.RELAY_EMIT: self.handle_relay_emit,
-            EventKind.CACHE_EXPIRY: self.handle_cache_expiry,
             EventKind.TOPO_CONTROL: self.handle_topo_control,
             EventKind.TOPO_RECONFIGURE: self.handle_topo_reconfigure,
         }

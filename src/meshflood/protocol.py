@@ -13,6 +13,10 @@ event and leaves with its header grown by one relay-header increment and the
 emitter rewritten to the forwarding node. Blind flooding shares the duplicate
 cache but retransmits every first-seen packet at every node.
 
+Cache entries age lazily: `admit` treats an entry older than the TTL as
+absent and overwrites it, and the engine sweeps aged entries out with
+`expire_caches` at each topology-control tick to keep the cache bounded.
+
 All time arguments are integer microseconds.
 """
 
@@ -93,9 +97,17 @@ def emitter_eligible(
     return pkt.emitter == pkt.origin and pkt.origin in neighbors
 
 
-def _fresh(state: NodeProtocolState, key: tuple[int, int], now_us: int) -> bool:
+def admit(state: NodeProtocolState, key: tuple[int, int], now_us: int) -> bool:
+    """Cache `key` as first seen at now_us unless it is a duplicate.
+
+    An entry older than the TTL counts as absent and is overwritten; one aged
+    exactly the TTL still marks a duplicate. Returns whether `key` was cached.
+    """
     first_seen = state.seen.get(key)
-    return first_seen is None or now_us - first_seen > state.duplicate_ttl_us
+    if first_seen is not None and now_us - first_seen <= state.duplicate_ttl_us:
+        return False
+    state.seen[key] = now_us
+    return True
 
 
 def on_receive(
@@ -116,10 +128,8 @@ def on_receive(
         raise ProtocolViolationError(
             f"node {state.node_id} heard non-neighbor {pkt.emitter}"
         )
-    key = pkt.key
-    if not _fresh(state, key, now_us):
+    if not admit(state, pkt.key, now_us):
         return Action.DROP_DUPLICATE
-    state.seen[key] = now_us
     if state.is_relay and (
         not rule2 or emitter_eligible(state, pkt, relays, neighbors)
     ):
@@ -138,10 +148,8 @@ def blind_flood_on_receive(
         raise ProtocolViolationError(
             f"node {state.node_id} heard non-neighbor {pkt.emitter}"
         )
-    key = pkt.key
-    if not _fresh(state, key, now_us):
+    if not admit(state, pkt.key, now_us):
         return Action.DROP_DUPLICATE
-    state.seen[key] = now_us
     return Action.DELIVER_AND_RELAY
 
 
@@ -159,7 +167,7 @@ def release_hold(node_id: int, pkt: Packet, header_increment: int) -> Packet:
 
 
 def expire_caches(state: NodeProtocolState, now_us: int) -> Eviction:
-    """Drop cache entries older than the TTL.
+    """Drop cache entries older than the TTL: those `admit` treats as absent.
 
     An entry aged exactly the TTL is retained, so a copy arriving at that
     instant is still a duplicate.

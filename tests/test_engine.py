@@ -16,7 +16,9 @@ from meshflood.engine import (
     EventKind,
     EventQueue,
     SimConfig,
+    _Run,
     run,
+    scenario_topology,
     serialization_delay_us,
     transmit,
 )
@@ -43,7 +45,7 @@ class TestEventQueue:
 
     def test_single_event_round_trip(self):
         q = EventQueue()
-        ev = Event(7, EventKind.CACHE_EXPIRY, 3)
+        ev = Event(7, EventKind.RELAY_EMIT, 3)
         q.push(ev)
         assert q.pop() == ev
         assert q.pop() is None
@@ -229,6 +231,13 @@ class TestRun:
                 == sm["max_distinct_delivered"]
                 == sm["source_emissions"]
             )
+        # Every fresh cache entry is a first reception or a source emission
+        # (each with a new key unless seq numbers repeat).
+        if not cfg.repeat_seq:
+            assert (
+                sm["cache_evictions"]
+                == sm["total_packets_received_first"] + sm["source_emissions"]
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(small_blind_configs())
@@ -244,6 +253,43 @@ class TestRun:
     def test_duration_over_interval_gives_exact_emission_count(self):
         series = run(SimConfig(fixture="fig3", sim_duration_s=300, packet_interval_s=2))
         assert series.meta["source_emissions"] == 150
+
+    def test_topology_control_sweep_bounds_the_duplicate_cache(self):
+        # 300 floods; without the sweep every node would keep all 300 keys.
+        cfg = SimConfig(
+            fixture="grid:9",
+            packet_interval_s=2.0,
+            topo_control_interval_s=5.0,
+            duplicate_ttl_s=30.0,
+            hold_time_s=0.5,
+            sim_duration_s=600,
+        )
+
+        class PeakCache(_Run):
+            peak = 0
+
+            def handle_emit_from_source(self, ev):
+                super().handle_emit_from_source(ev)
+                self.note_peak()
+
+            def handle_receive(self, ev):
+                super().handle_receive(ev)
+                self.note_peak()
+
+            def note_peak(self):
+                largest = max(len(s.seen) for s in self.states.values())
+                self.peak = max(self.peak, largest)
+
+        r = PeakCache(cfg, scenario_topology(cfg))
+        r.execute()
+        assert r.series.meta["source_emissions"] == 300
+        # One key per flood within a TTL plus a control interval, and one
+        # more from floods still arriving after the last sweep.
+        bound = math.ceil(
+            (cfg.duplicate_ttl_s + cfg.topo_control_interval_s)
+            / cfg.packet_interval_s
+        ) + 1
+        assert 0 < r.peak <= bound
 
     def test_static_run_recomputes_relays_once(self):
         series = run(SimConfig(fixture="grid:25", sim_duration_s=40))

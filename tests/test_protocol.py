@@ -8,6 +8,7 @@ from meshflood.protocol import (
     Action,
     NodeProtocolState,
     Packet,
+    admit,
     blind_flood_on_receive,
     emitter_eligible,
     expire_caches,
@@ -213,3 +214,17 @@ class TestExpireCaches:
         action = on_receive(state, pkt, relays, t.adjacency[4], now_us=31 * S)
         assert action is Action.DELIVER_ONLY
         assert state.seen[pkt.key] == 31 * S
+
+
+class TestAdmit:
+    def test_entry_at_exactly_ttl_is_a_duplicate(self):
+        state = make_state(2, False)
+        state.seen[(0, 0)] = 0
+        assert not admit(state, (0, 0), 30 * S)
+        assert state.seen[(0, 0)] == 0
+
+    def test_entry_over_ttl_is_overwritten(self):
+        state = make_state(2, False)
+        state.seen[(0, 0)] = 0
+        assert admit(state, (0, 0), 30 * S + 1)
+        assert state.seen[(0, 0)] == 30 * S + 1
