@@ -435,8 +435,8 @@ class _Run:
         series = self.series
         totals = series.counter_total()
         got_bits = (
-            totals.get(mx.BITS_RECEIVED_FIRST, 0)
-            + totals.get(mx.BITS_RECEIVED_DUP, 0)
+            totals[mx.BITS_RECEIVED_FIRST]
+            + totals[mx.BITS_RECEIVED_DUP]
             + self.lost_bits
         )
         if got_bits != self.expected_bits:
@@ -445,8 +445,8 @@ class _Run:
                 f"accounted {got_bits}"
             )
         got_packets = (
-            totals.get(mx.PACKETS_RECEIVED_FIRST, 0)
-            + totals.get(mx.PACKETS_RECEIVED_DUP, 0)
+            totals[mx.PACKETS_RECEIVED_FIRST]
+            + totals[mx.PACKETS_RECEIVED_DUP]
             + self.lost_packets
         )
         if got_packets != self.expected_packets:
@@ -485,7 +485,7 @@ class _Run:
                 "delivering_nodes": len(delivering),
                 "min_distinct_delivered": min(distinct, default=0),
                 "max_distinct_delivered": max(distinct, default=0),
-                "source_emissions": totals.get(mx.PACKETS_SENT, 0),
+                "source_emissions": totals[mx.PACKETS_SENT],
                 "relay_set_size": len(self.initial_assignment.relays),
                 "cardinality_card_R": card.card_R,
                 "cardinality_card_V": card.card_V,

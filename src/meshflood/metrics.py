@@ -13,21 +13,29 @@ is exact, never approximate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import AccountingError, ComparisonError
 
-BITS_SENT = "bits_sent"
-BITS_RELAYED = "bits_relayed"
-BITS_RECEIVED_FIRST = "bits_received_first"
-BITS_RECEIVED_DUP = "bits_received_dup"
-BITS_LOST = "bits_lost_in_transit"
-PACKETS_SENT = "packets_sent"
-PACKETS_RELAYED = "packets_relayed"
-PACKETS_RECEIVED_FIRST = "packets_received_first"
-PACKETS_RECEIVED_DUP = "packets_received_dup"
-PACKETS_LOST = "packets_lost_in_transit"
+# The counter names in sorted order, which is `export_csv`'s row order. A
+# (second, node) cell is a row of one int per counter; the constants index it.
+COUNTERS = (
+    "bits_lost_in_transit",
+    "bits_received_dup",
+    "bits_received_first",
+    "bits_relayed",
+    "bits_sent",
+    "packets_lost_in_transit",
+    "packets_received_dup",
+    "packets_received_first",
+    "packets_relayed",
+    "packets_sent",
+)
+(BITS_LOST, BITS_RECEIVED_DUP, BITS_RECEIVED_FIRST, BITS_RELAYED, BITS_SENT,
+ PACKETS_LOST, PACKETS_RECEIVED_DUP, PACKETS_RECEIVED_FIRST, PACKETS_RELAYED,
+ PACKETS_SENT) = range(len(COUNTERS))
 
 CSV_HEADER = "t,node_id,counter,value"
 
@@ -43,7 +51,7 @@ class MetricsSeries:
 
     duration_s: float
     horizon_s: float | None = None
-    buckets: dict[int, dict[int, dict[str, int]]] = field(default_factory=dict)
+    buckets: dict[int, dict[int, list[int]]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -51,12 +59,15 @@ class MetricsSeries:
             self.horizon_s = self.duration_s
 
     def record(
-        self, t: float, nodes: Collection[int], counter: str, amount: int
+        self, t: float, nodes: Collection[int], counter: int, amount: int
     ) -> None:
-        """Add `amount` to `counter` at every node in `nodes`, in the bucket
-        for second floor(t). An empty `nodes` leaves the buckets unchanged."""
+        """Add `amount` to `counter` (an index into `COUNTERS`) at every node
+        in `nodes`, in the bucket for second floor(t). An empty `nodes` leaves
+        the buckets unchanged."""
         if amount < 0:
-            raise AccountingError(f"negative amount {amount} for {counter}")
+            raise AccountingError(
+                f"negative amount {amount} for {COUNTERS[counter]}"
+            )
         if t < 0 or t >= self.horizon_s:
             raise AccountingError(
                 f"record at t={t} outside horizon [0, {self.horizon_s})"
@@ -65,37 +76,32 @@ class MetricsSeries:
             return
         bucket = self.buckets.setdefault(int(math.floor(t)), {})
         for node in nodes:
-            node_counters = bucket.get(node)
-            if node_counters is None:
-                bucket[node] = {counter: amount}
-            else:
-                node_counters[counter] = node_counters.get(counter, 0) + amount
+            row = bucket.get(node)
+            if row is None:
+                row = bucket[node] = [0] * len(COUNTERS)
+            row[counter] += amount
 
-    def counter_total(self) -> dict[str, int]:
-        """Every counter summed across all buckets and nodes, from one scan.
-        A counter never recorded is absent (read it with `.get(name, 0)`)."""
-        totals: dict[str, int] = {}
-        for per_node in self.buckets.values():
-            for counters in per_node.values():
-                for name, value in counters.items():
-                    totals[name] = totals.get(name, 0) + value
-        return totals
+    def counter_total(self) -> list[int]:
+        """Every counter summed across all buckets and nodes, from one scan,
+        as a row indexed like a cell (`totals[BITS_SENT]`)."""
+        rows = (row for cells in self.buckets.values() for row in cells.values())
+        return [sum(column) for column in zip([0] * len(COUNTERS), *rows)]
 
-    def node_totals(self, counter: str) -> dict[int, int]:
-        totals: dict[int, int] = {}
+    def node_totals(self, counter: int) -> dict[int, int]:
+        """Per-node total of one counter, for the nodes where it is non-zero."""
+        totals: Counter[int] = Counter()
         for per_node in self.buckets.values():
-            for n, counters in per_node.items():
-                if counter in counters:
-                    totals[n] = totals.get(n, 0) + counters[counter]
-        return totals
+            for n, row in per_node.items():
+                if row[counter]:
+                    totals[n] += row[counter]
+        return dict(totals)
 
     def peak_node_bits_per_second(self) -> int:
         """Largest per-node, per-second emitted volume (source plus relay bits)."""
         peak = 0
         for per_node in self.buckets.values():
-            for counters in per_node.values():
-                emitted = counters.get(BITS_SENT, 0) + counters.get(BITS_RELAYED, 0)
-                peak = max(peak, emitted)
+            for row in per_node.values():
+                peak = max(peak, row[BITS_SENT] + row[BITS_RELAYED])
         return peak
 
 
@@ -109,18 +115,18 @@ def export_csv(series: MetricsSeries, path) -> None:
     for t in sorted(series.buckets):
         per_node = series.buckets[t]
         for node in sorted(per_node):
-            counters = per_node[node]
-            for name in sorted(counters):
-                value = counters[name]
+            for name, value in zip(COUNTERS, per_node[node]):
                 if value != 0:
                     lines.append(f"{t},{node},{name},{value}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def parse_csv(path) -> dict[int, dict[int, dict[str, int]]]:
-    """Read an export back into the bucket structure (round-trip inverse)."""
-    buckets: dict[int, dict[int, dict[str, int]]] = {}
+def parse_csv(path) -> dict[int, dict[int, list[int]]]:
+    """Read an export back into the bucket structure (round-trip inverse).
+    A counter name outside `COUNTERS` is a `ValueError`."""
+    index = {name: i for i, name in enumerate(COUNTERS)}
+    buckets: dict[int, dict[int, list[int]]] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -130,9 +136,11 @@ def parse_csv(path) -> dict[int, dict[int, dict[str, int]]]:
             if not raw:
                 continue
             t_s, node_s, name, value_s = raw.split(",")
+            if name not in index:
+                raise ValueError(f"unknown counter: {name!r}")
             bucket = buckets.setdefault(int(t_s), {})
-            node_counters = bucket.setdefault(int(node_s), {})
-            node_counters[name] = int(value_s)
+            row = bucket.setdefault(int(node_s), [0] * len(COUNTERS))
+            row[index[name]] = int(value_s)
     return buckets
 
 
@@ -148,26 +156,12 @@ def summarize(series: MetricsSeries) -> dict:
     """Flatten run totals and engine metadata into a single key/value record."""
     summary = dict(series.meta)
     totals = series.counter_total()
-    for counter in (
-        BITS_SENT,
-        BITS_RELAYED,
-        BITS_RECEIVED_FIRST,
-        BITS_RECEIVED_DUP,
-        BITS_LOST,
-        PACKETS_SENT,
-        PACKETS_RELAYED,
-        PACKETS_RECEIVED_FIRST,
-        PACKETS_RECEIVED_DUP,
-        PACKETS_LOST,
-    ):
-        summary[f"total_{counter}"] = totals.get(counter, 0)
+    for name, total in zip(COUNTERS, totals):
+        summary[f"total_{name}"] = total
 
-    first = summary["total_" + PACKETS_RECEIVED_FIRST]
-    dup = summary["total_" + PACKETS_RECEIVED_DUP]
+    first, dup = totals[PACKETS_RECEIVED_FIRST], totals[PACKETS_RECEIVED_DUP]
     summary["redundancy_ratio"] = (dup / first) if first else 0.0
-    summary["total_transmissions"] = (
-        summary["total_" + PACKETS_SENT] + summary["total_" + PACKETS_RELAYED]
-    )
+    summary["total_transmissions"] = totals[PACKETS_SENT] + totals[PACKETS_RELAYED]
     summary["peak_node_bits_per_second"] = series.peak_node_bits_per_second()
     return summary
 
@@ -197,8 +191,9 @@ def compare(optimized: dict, blind: dict) -> dict:
         raise ComparisonError(f"scenario fingerprints differ: {fp_a!r} vs {fp_b!r}")
     opt_tx = optimized["total_transmissions"]
     blind_tx = blind["total_transmissions"]
-    opt_dup = optimized["total_" + PACKETS_RECEIVED_DUP]
-    blind_dup = blind["total_" + PACKETS_RECEIVED_DUP]
+    dup_key = f"total_{COUNTERS[PACKETS_RECEIVED_DUP]}"
+    opt_dup = optimized[dup_key]
+    blind_dup = blind[dup_key]
     return {
         "fingerprint": fp_a,
         "optimized_transmissions": opt_tx,

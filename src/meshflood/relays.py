@@ -9,9 +9,9 @@ coverage.
 
 The pairs a node v bridges are exactly its non-adjacent neighbor pairs, so
 the scan lists them once per candidate and takes everything else from those
-lists: the selectors of relay r are the endpoints of r's pairs, and the
-covered pairs are the union of every node's pairs. Only the current
-candidate's list is kept while the scan runs.
+lists: the selectors of relay r are the endpoints of r's pairs. Only the
+current candidate's list and the set of pairs covered so far are kept while
+the scan runs.
 
 `two_hop_pairs` enumerates the same pairs from `two_hop` instead, as the
 independent reference of `coverage_check` and `brute_force_min_relays`.
@@ -45,7 +45,6 @@ class RelayAssignment:
     selectors: for each relay r, every node u for which r bridges at least
         one of u's 2-hop pairs; a relay forwards traffic heard directly from
         one of these nodes.
-    covered_pairs: all unordered 2-hop pairs, each listed as (min, max).
     bridge_tests: number of candidate/pair bridge tests the scan made up to
         its last relay, where coverage became complete (workload witness
         for the quadratic loop structure).
@@ -53,7 +52,6 @@ class RelayAssignment:
 
     relays: tuple[int, ...]
     selectors: dict[int, frozenset[int]]
-    covered_pairs: frozenset[tuple[int, int]]
     epoch: int
     bridge_tests: int
 
@@ -117,14 +115,12 @@ def select_relays(t: Topology, order: str = ORDER_ASCENDING) -> RelayAssignment:
             selectors[v] = frozenset(chain.from_iterable(pairs))
             covered.update(pairs)
             tests = listed
-    # A candidate that is not selected adds no pair, so `covered` ends as the
-    # union of every node's pairs: all 2-hop pairs. Coverage is complete from
-    # the last relay on, so `bridge_tests` counts the tests up to it: those a
-    # scan makes that stops once no pair is left uncovered.
+    # A candidate that is not selected bridges only covered pairs, so coverage
+    # is complete from the last relay on, and `bridge_tests` counts the tests
+    # up to it: those a scan makes that stops once no pair is left uncovered.
     return RelayAssignment(
         relays=tuple(relays),
         selectors=selectors,
-        covered_pairs=frozenset(covered),
         epoch=t.epoch,
         bridge_tests=tests,
     )

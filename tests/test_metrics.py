@@ -46,13 +46,13 @@ class TestRecord:
         series = MetricsSeries(duration_s=10)
         series.record(2.5, (4, 1, 7), mx.BITS_RECEIVED_DUP, 300)
         series.record(2.7, [1], mx.BITS_RECEIVED_DUP, 5)
-        assert series.buckets == {
-            2: {
-                4: {mx.BITS_RECEIVED_DUP: 300},
-                1: {mx.BITS_RECEIVED_DUP: 305},
-                7: {mx.BITS_RECEIVED_DUP: 300},
-            }
-        }
+
+        def row(value):
+            cell = [0] * len(mx.COUNTERS)
+            cell[mx.BITS_RECEIVED_DUP] = value
+            return cell
+
+        assert series.buckets == {2: {4: row(300), 1: row(305), 7: row(300)}}
 
     def test_empty_batch_leaves_buckets_unchanged(self):
         series = MetricsSeries(duration_s=10)
@@ -87,11 +87,11 @@ class TestRecord:
                 single.record(t, (node,), counter, amount)
         assert batched.buckets == single.buckets
 
-        brute: dict[str, int] = {}
+        brute = [0] * len(mx.COUNTERS)
         for per_node in batched.buckets.values():
-            for counters in per_node.values():
-                for name, value in counters.items():
-                    brute[name] = brute.get(name, 0) + value
+            for row in per_node.values():
+                for i, value in enumerate(row):
+                    brute[i] += value
         assert batched.counter_total() == brute
         assert all(per_node for per_node in batched.buckets.values())
 
@@ -103,16 +103,39 @@ class TestCounterTotal:
         series.record(1.5, (1, 2), mx.BITS_RECEIVED_FIRST, 2000)
         series.record(1.5, (1, 2), mx.PACKETS_RECEIVED_FIRST, 1)
         series.record(7.0, (0,), mx.BITS_SENT, 900)
-        assert series.counter_total() == {
-            mx.BITS_SENT: 2900,
-            mx.BITS_RECEIVED_FIRST: 4000,
-            mx.PACKETS_RECEIVED_FIRST: 2,
-        }
+        expected = [0] * len(mx.COUNTERS)
+        expected[mx.BITS_SENT] = 2900
+        expected[mx.BITS_RECEIVED_FIRST] = 4000
+        expected[mx.PACKETS_RECEIVED_FIRST] = 2
+        assert series.counter_total() == expected
 
     def test_empty_series_has_no_totals(self):
         totals = MetricsSeries(duration_s=10).counter_total()
-        assert totals == {}
-        assert totals.get(mx.BITS_LOST, 0) == 0
+        assert totals == [0] * len(mx.COUNTERS)
+        assert totals[mx.BITS_LOST] == 0
+
+
+class TestCounters:
+    def test_names_sorted(self):
+        # `export_csv` writes a cell's rows in `COUNTERS` order, so the
+        # byte-identical export depends on this order; `parse_csv` needs
+        # the names distinct.
+        assert mx.COUNTERS == tuple(sorted(set(mx.COUNTERS)))
+
+    def test_constants_index_their_names(self):
+        for const, name in (
+            (mx.BITS_SENT, "bits_sent"),
+            (mx.BITS_RELAYED, "bits_relayed"),
+            (mx.BITS_RECEIVED_FIRST, "bits_received_first"),
+            (mx.BITS_RECEIVED_DUP, "bits_received_dup"),
+            (mx.BITS_LOST, "bits_lost_in_transit"),
+            (mx.PACKETS_SENT, "packets_sent"),
+            (mx.PACKETS_RELAYED, "packets_relayed"),
+            (mx.PACKETS_RECEIVED_FIRST, "packets_received_first"),
+            (mx.PACKETS_RECEIVED_DUP, "packets_received_dup"),
+            (mx.PACKETS_LOST, "packets_lost_in_transit"),
+        ):
+            assert mx.COUNTERS[const] == name
 
 
 class TestCsv:
@@ -152,6 +175,14 @@ class TestCsv:
         path = tmp_path / "series.csv"
         export_csv(series, path)
         assert parse_csv(path) == series.buckets
+
+    def test_unknown_counter_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "t,node_id,counter,value\n0,2,bits_sent,2000\n0,2,bits_echoed,5\n"
+        )
+        with pytest.raises(ValueError, match="bits_echoed"):
+            parse_csv(path)
 
 
 class TestSummary:

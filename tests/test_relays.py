@@ -50,12 +50,15 @@ class TestSelectRelays:
         t = path_topology(3)
         a = select_relays(t)
         assert a.relays == (1,)
-        assert a.covered_pairs == frozenset({(0, 2)})
+        assert two_hop_pairs(t) == frozenset({(0, 2)})
+        assert coverage_check(t, a.relays) == []
 
     def test_complete_graph_selects_nothing(self):
-        a = select_relays(complete_topology(4))
+        t = complete_topology(4)
+        a = select_relays(t)
         assert a.relays == ()
-        assert a.covered_pairs == frozenset()
+        assert two_hop_pairs(t) == frozenset()
+        assert coverage_check(t, a.relays) == []
 
     def test_fig3_selects_exactly_the_routers(self):
         t = fig3_topology()
@@ -115,16 +118,15 @@ class TestSelectRelays:
         t = build_topology(nodes, 100.0)
         a = select_relays(t)
         assert coverage_check(t, a.relays) == []
-        for u, w in a.covered_pairs:
+        for u, w in two_hop_pairs(t):
             assert (u < 4) == (w < 4)
 
 
 def reference_scan(t, order):
     """The selection scan with selectors re-derived from `two_hop` of every
     relay's neighbors: the reference `select_relays` must match exactly.
-    Returns (relays, selectors, covered_pairs, bridge_tests)."""
-    all_pairs = two_hop_pairs(t)
-    uncovered = set(all_pairs)
+    Returns (relays, selectors, bridge_tests)."""
+    uncovered = set(two_hop_pairs(t))
     relays = []
     tests = 0
     for v in _candidate_order(t, order):
@@ -150,7 +152,7 @@ def reference_scan(t, order):
         )
         for r in relays
     }
-    return tuple(relays), selectors, all_pairs, tests
+    return tuple(relays), selectors, tests
 
 
 class TestSelectRelaysMatchesReference:
@@ -167,11 +169,11 @@ class TestSelectRelaysMatchesReference:
             t = reconfigure(t, MobilityStep(60.0), seed + step)
         for order in (ORDER_ASCENDING, ORDER_DESCENDING, ORDER_DEGREE):
             a = select_relays(t, order)
-            assert (a.relays, a.selectors, a.covered_pairs, a.bridge_tests) == (
+            assert (a.relays, a.selectors, a.bridge_tests) == (
                 reference_scan(t, order)
             ), order
             assert list(a.selectors) == list(a.relays)
-            assert a.covered_pairs == two_hop_pairs(t)
+            assert coverage_check(t, a.relays) == [], order
             assert a.epoch == t.epoch
 
     def test_relay_set_built_once(self):

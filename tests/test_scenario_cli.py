@@ -227,19 +227,28 @@ class TestCmdRun:
         assert text.startswith("n 3 range 100.0")
 
     def test_jobs_run_consecutive_seeds(self, tmp_path):
+        # Uniform placement, so each seed places the nodes differently.
         scn = write_scenario(
-            tmp_path, "fixture = path:3\nseed = 4\nsim_duration_s = 10\n"
+            tmp_path,
+            "node_count = 12\nplacement = uniform\nradio_range = 200\n"
+            "seed = 4\nsim_duration_s = 10\n",
         )
         out = tmp_path / "batch"
         assert main(["run", scn, "--out", str(out), "--jobs", "2"]) == EXIT_OK
-        assert (out / "seed-4" / "series.csv").exists()
-        assert (out / "seed-5" / "series.csv").exists()
-        # batch member equals a solo run of the same seed
-        solo = tmp_path / "solo"
-        assert main(["run", scn, "--seed", "5", "--out", str(solo)]) == EXIT_OK
-        assert (out / "seed-5" / "series.csv").read_bytes() == (
-            solo / "series.csv"
-        ).read_bytes()
+        names = ("series.csv", "summary.txt")
+        # each batch member equals a solo run of the same seed
+        for seed in (4, 5):
+            solo = tmp_path / f"solo-{seed}"
+            argv = ["run", scn, "--seed", str(seed), "--out", str(solo)]
+            assert main(argv) == EXIT_OK
+            for name in names:
+                assert (out / f"seed-{seed}" / name).read_bytes() == (
+                    solo / name
+                ).read_bytes(), (seed, name)
+        for name in names:
+            assert (out / "seed-4" / name).read_bytes() != (
+                out / "seed-5" / name
+            ).read_bytes(), name
 
 
 class TestWarnings:
