@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 configuration error (bad scenario file, size cap),
 
 `run` and `compare` echo each summary flag of a run that defeats itself
 (see WARNING_KEYS) to stderr as `warning: <key>=<value> (<summary file>)`;
-the exit code does not change.
+the exit code does not change. `run --jobs N` prints them in seed order once
+every member has finished.
 """
 
 from __future__ import annotations
@@ -97,37 +98,44 @@ def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
     return cfg
 
 
-def _write_summary(summary: dict, path: Path) -> None:
+def _write_summary(summary: dict, path: Path) -> list[str]:
+    """Write `summary` to `path`; return its warning lines for stderr."""
     export_summary(summary, path)
-    for key in WARNING_KEYS:
-        if summary[key]:
-            print(
-                f"warning: {key}={format_value(summary[key])} ({path})",
-                file=sys.stderr,
-            )
+    return [
+        f"warning: {key}={format_value(summary[key])} ({path})"
+        for key in WARNING_KEYS
+        if summary[key]
+    ]
+
+
+def _print_warnings(lines: list[str]) -> None:
+    for line in lines:
+        print(line, file=sys.stderr)
 
 
 def _run_one(
     cfg: SimConfig, out_dir: Path, dump_topology: bool, dump_relay_sets: bool
-) -> int:
+) -> list[str]:
+    """Run one scenario into `out_dir`; return its warning lines."""
     topo = scenario_topology(cfg)
     series = run(cfg, topo)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(series, out_dir / "series.csv")
-    _write_summary(summarize(series), out_dir / "summary.txt")
+    warnings = _write_summary(summarize(series), out_dir / "summary.txt")
     if dump_topology:
         save_topology(topo, out_dir / "topology.txt")
     if dump_relay_sets:
         assignment = select_relays(topo, cfg.relay_order)
         (out_dir / "relays.txt").write_text(dump_relays(assignment), encoding="utf-8")
-    return EXIT_OK
+    return warnings
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
     if args.jobs <= 1:
-        return _run_one(cfg, out, args.dump_topology, args.dump_relays)
+        _print_warnings(_run_one(cfg, out, args.dump_topology, args.dump_relays))
+        return EXIT_OK
 
     jobs = [
         (
@@ -138,12 +146,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         for i in range(args.jobs)
     ]
+    # Workers' own stderr would interleave in finishing order; print each
+    # member's lines here instead, in seed order.
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        codes = list(pool.map(_run_one_star, jobs))
-    return max(codes)
+        for lines in pool.map(_run_one_star, jobs):
+            _print_warnings(lines)
+    return EXIT_OK
 
 
-def _run_one_star(job) -> int:
+def _run_one_star(job) -> list[str]:
     return _run_one(*job)
 
 
@@ -158,7 +169,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         series = run(dataclasses.replace(cfg, mode=mode), topo)
         export_csv(series, out / f"series_{mode}.csv")
         summaries[mode] = summarize(series)
-        _write_summary(summaries[mode], out / f"summary_{mode}.txt")
+        _print_warnings(_write_summary(summaries[mode], out / f"summary_{mode}.txt"))
 
     report = compare(summaries[MODE_RELAY], summaries[MODE_BLIND])
     export_summary(report, out / "compare.txt")

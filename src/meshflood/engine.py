@@ -30,15 +30,15 @@ from .errors import AccountingError, ConfigError
 from .fixtures import build_scenario_topology
 from .metrics import MetricsSeries
 from .protocol import (
-    Action,
     NodeProtocolState,
     Packet,
     admit,
-    blind_flood_on_receive,
     expire_caches,
-    on_receive,
+    receive,
     release_hold,
 )
+# Unused here: benches/tracer.py wraps these two by name on this module.
+from .protocol import blind_flood_on_receive, on_receive  # noqa: F401
 from .relays import RelayAssignment, cardinality_report, select_relays
 from .topology import (
     MobilityStep,
@@ -349,37 +349,26 @@ class _Run:
         pkt, receivers, emit_topo = ev.data
         cfg = self.cfg
         now = ev.time_us
-        key = pkt.key
         wire = pkt.wire_size_bits
-        drop_stale = (
-            cfg.inflight == INFLIGHT_DROP and emit_topo.epoch != self.topo.epoch
+        lost = []
+        if cfg.inflight == INFLIGHT_DROP and emit_topo.epoch != self.topo.epoch:
+            adjacency = self.topo.adjacency
+            lost = [v for v in receivers if pkt.emitter not in adjacency[v]]
+            if lost:
+                receivers = [v for v in receivers if pkt.emitter in adjacency[v]]
+        relays = None if cfg.mode == MODE_BLIND else self.assignment
+        dups, firsts, relaying = receive(
+            self.states, pkt, receivers, emit_topo.adjacency, now, relays, cfg.rule2
         )
-        blind = cfg.mode == MODE_BLIND
-        lost, dups, firsts = [], [], []
-        for v in receivers:
-            if drop_stale and pkt.emitter not in self.topo.adjacency[v]:
-                lost.append(v)
-                continue
-            state = self.states[v]
-            neighbors = emit_topo.adjacency[v]
-            if blind:
-                action = blind_flood_on_receive(state, pkt, neighbors, now)
-            else:
-                action = on_receive(
-                    state, pkt, self.assignment, neighbors, now, cfg.rule2
-                )
-            if action is Action.DROP_DUPLICATE:
-                dups.append(v)
-                continue
-            # Both receive functions wrote seen[key] = now: a fresh entry.
-            firsts.append(v)
+        key = pkt.key
+        for v in firsts:
             self.delivered_keys[v].add(key)
-            if action is Action.DELIVER_AND_RELAY:
-                self.queue.push(
-                    Event(now + self.hold_us, EventKind.RELAY_EMIT, v, data=(pkt,))
-                )
+        due, data = now + self.hold_us, (pkt,)
+        for v in relaying:
+            self.queue.push(Event(due, EventKind.RELAY_EMIT, v, data=data))
         self.lost_bits += wire * len(lost)
         self.lost_packets += len(lost)
+        # `receive` wrote seen[key] = now at each first reception: a fresh entry.
         self.cache_evictions += len(firsts)
         t = now / US
         record = self.series.record

@@ -13,6 +13,10 @@ event and leaves with its header grown by one relay-header increment and the
 emitter rewritten to the forwarding node. Blind flooding shares the duplicate
 cache but retransmits every first-seen packet at every node.
 
+The engine applies both rules with `receive`, once per broadcast over all
+of its receivers. `on_receive` and `blind_flood_on_receive` decide a single
+reception; they are the reference the batch form is tested against.
+
 Cache entries age lazily: `admit` treats an entry older than the TTL as
 absent and overwrites it, and the engine sweeps aged entries out with
 `expire_caches` at each topology-control tick to keep the cache bounded.
@@ -151,6 +155,48 @@ def blind_flood_on_receive(
     if not admit(state, pkt.key, now_us):
         return Action.DROP_DUPLICATE
     return Action.DELIVER_AND_RELAY
+
+
+def receive(
+    states: dict[int, NodeProtocolState],
+    pkt: Packet,
+    receivers: tuple[int, ...] | list[int],
+    adjacency: dict[int, frozenset[int]],
+    now_us: int,
+    relays: RelayAssignment | None = None,
+    rule2: bool = True,
+) -> tuple[list[int], list[int], list[int]]:
+    """One broadcast's receptions: (duplicates, first receptions, relaying).
+
+    Each list keeps receiver order, and relaying is a subset of the first
+    receptions. `adjacency` is the emitter's topology; a receiver outside
+    the emitter's neighborhood is a simulation bug. `relays=None` is blind
+    flooding: every first reception relays. Otherwise a first reception
+    relays iff the node is a relay and rule 2 is off, the emitter is one of
+    its selectors, or the emitter is the packet's origin. Equivalent to
+    `on_receive` (or `blind_flood_on_receive`) once per receiver.
+    """
+    emitter = pkt.emitter
+    key = (pkt.origin, pkt.seq)
+    from_origin = emitter == pkt.origin
+    dups: list[int] = []
+    firsts: list[int] = []
+    relaying: list[int] = []
+    for v in receivers:
+        state = states[v]
+        if emitter not in adjacency[v]:
+            raise ProtocolViolationError(
+                f"node {state.node_id} heard non-neighbor {emitter}"
+            )
+        if not admit(state, key, now_us):
+            dups.append(v)
+            continue
+        firsts.append(v)
+        if relays is None or state.is_relay and (
+            not rule2 or from_origin or emitter in relays.selectors.get(v, ())
+        ):
+            relaying.append(v)
+    return dups, firsts, relaying
 
 
 def release_hold(node_id: int, pkt: Packet, header_increment: int) -> Packet:

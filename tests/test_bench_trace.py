@@ -1,0 +1,43 @@
+"""The benchmark's traced run still works against the current engine.
+
+`benches/tracer.py` wraps layer functions by the names `meshflood.engine`
+imports them under, so renaming or dropping one of those imports makes a
+traced run die while untraced runs, and every other test, still pass.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "benches" / "child.py"
+
+
+def run_child(out_dir: Path, traced: bool, text: str) -> dict:
+    out_dir.mkdir()
+    pythonpath = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(out_dir), "1" if traced else "0", text],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("mode", ["blind", "relay"])
+def test_traced_child_run_matches_untraced(tmp_path, mode):
+    text = f"mode = {mode}\nfixture = grid:25\nnode_count = 25\nsim_duration_s = 20\n"
+    traced = run_child(tmp_path / "traced", True, text)
+    plain = run_child(tmp_path / "plain", False, text)
+    assert "layers" in traced
+    assert traced["digests"] == plain["digests"]

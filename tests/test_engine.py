@@ -22,7 +22,7 @@ from meshflood.engine import (
     serialization_delay_us,
     transmit,
 )
-from meshflood.errors import ConfigError
+from meshflood.errors import ConfigError, ProtocolViolationError
 from meshflood.fixtures import fig3_topology, path_topology, random_connected_topology
 from meshflood.protocol import Packet
 from meshflood.topology import MobilityStep, reconfigure
@@ -290,6 +290,17 @@ class TestRun:
             / cfg.packet_interval_s
         ) + 1
         assert 0 < r.peak <= bound
+
+    @pytest.mark.parametrize("mode", [MODE_RELAY, MODE_BLIND])
+    def test_copy_from_a_non_neighbor_surfaces_as_a_violation(self, mode):
+        cfg = SimConfig(fixture="fig3", mode=mode, sim_duration_s=10)
+        topo = scenario_topology(cfg)
+        assert 2 not in topo.adjacency[4]
+        r = _Run(cfg, topo)
+        pkt = Packet(origin=0, seq=99, emitter=2)
+        r.queue.push(Event(0, EventKind.RECEIVE, 2, data=(pkt, (4,), topo)))
+        with pytest.raises(ProtocolViolationError, match="node 4 heard non-neighbor 2"):
+            r.execute()
 
     def test_static_run_recomputes_relays_once(self):
         series = run(SimConfig(fixture="grid:25", sim_duration_s=40))

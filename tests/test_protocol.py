@@ -1,6 +1,10 @@
+import copy
 import dataclasses
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshflood.errors import ProtocolViolationError
 from meshflood.fixtures import fig3_topology
@@ -13,9 +17,10 @@ from meshflood.protocol import (
     emitter_eligible,
     expire_caches,
     on_receive,
+    receive,
     release_hold,
 )
-from meshflood.relays import select_relays
+from meshflood.relays import RelayAssignment, select_relays
 from meshflood.topology import Node, Role, build_topology
 
 S = 1_000_000  # microseconds per second
@@ -161,6 +166,98 @@ class TestBlindFlood:
         assert blind_flood_on_receive(state, pkt, t.adjacency[4], 1 * S) is (
             Action.DROP_DUPLICATE
         )
+
+
+@st.composite
+def batch_receptions(draw):
+    """A broadcast over a drawn graph, with drawn caches, roles and rules.
+
+    Returns the states, the packet, the receivers (the emitter's neighbors
+    in drawn order), the adjacency, now and a relay assignment.
+    """
+    n = draw(st.integers(min_value=2, max_value=7))
+    adjacency = {u: set() for u in range(n)}
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    adjacency = {u: frozenset(vs) for u, vs in adjacency.items()}
+
+    emitter = draw(st.integers(min_value=0, max_value=n - 1))
+    others = [u for u in range(n) if u != emitter]
+    origin = emitter if draw(st.booleans()) else draw(st.sampled_from(others))
+    seq = draw(st.integers(min_value=0, max_value=2))
+    pkt = Packet(origin=origin, seq=seq, emitter=emitter)
+    receivers = draw(st.permutations(sorted(adjacency[emitter])))
+
+    ttl = draw(st.integers(min_value=1, max_value=10**8))
+    now = 10**9
+    states = {}
+    for u in range(n):
+        state = NodeProtocolState(
+            node_id=u, is_relay=draw(st.booleans()), duplicate_ttl_us=ttl
+        )
+        age = draw(
+            st.one_of(
+                st.none(),
+                st.integers(min_value=0, max_value=ttl - 1),  # fresh
+                st.sampled_from([ttl, ttl + 1]),
+            )
+        )
+        if age is not None:
+            state.seen[pkt.key] = now - age
+        states[u] = state
+
+    nodes = st.sampled_from(range(n))
+    selectors = draw(st.dictionaries(nodes, st.frozensets(nodes)))
+    relays = RelayAssignment(
+        relays=tuple(sorted(selectors)), selectors=selectors, epoch=0,
+        bridge_tests=0,
+    )
+    return states, pkt, receivers, adjacency, now, relays
+
+
+class TestReceiveBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(batch_receptions())
+    def test_matches_one_reference_call_per_receiver(self, args):
+        drawn_states, pkt, receivers, adjacency, now, assignment = args
+        # Blind mode, then relay mode with rule 2 on and off.
+        for relays, rule2 in ((None, True), (assignment, True), (assignment, False)):
+            states = copy.deepcopy(drawn_states)
+            reference = copy.deepcopy(drawn_states)
+            actions = []
+            for v in receivers:
+                if relays is None:
+                    action = blind_flood_on_receive(
+                        reference[v], pkt, adjacency[v], now
+                    )
+                else:
+                    action = on_receive(
+                        reference[v], pkt, relays, adjacency[v], now, rule2
+                    )
+                actions.append((v, action))
+            expected = (
+                [v for v, a in actions if a is Action.DROP_DUPLICATE],
+                [v for v, a in actions if a is not Action.DROP_DUPLICATE],
+                [v for v, a in actions if a is Action.DELIVER_AND_RELAY],
+            )
+            got = receive(states, pkt, receivers, adjacency, now, relays, rule2)
+            assert got == expected, (relays, rule2)
+            assert {u: s.seen for u, s in states.items()} == {
+                u: s.seen for u, s in reference.items()
+            }
+
+    @pytest.mark.parametrize("blind", [True, False])
+    def test_receiver_outside_emitter_adjacency_is_a_violation(self, blind):
+        t = fig3_topology()
+        relays = None if blind else select_relays(t)
+        states = {u: make_state(u, False) for u in t.node_ids()}
+        pkt = Packet(origin=0, seq=0, emitter=2)  # not adjacent to client 4
+        with pytest.raises(
+            ProtocolViolationError, match="node 4 heard non-neighbor 2"
+        ):
+            receive(states, pkt, (4,), t.adjacency, 0, relays)
 
 
 class TestHoldBuffer:

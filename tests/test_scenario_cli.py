@@ -280,6 +280,23 @@ class TestWarnings:
             assert loops != ["relay_loop_violations=0"]
             assert f"warning: {loops[0]} ({summary})" in err
 
+    def test_jobs_print_warnings_in_seed_order(self, tmp_path, capsys):
+        scn = write_scenario(
+            tmp_path,
+            "fixture = path:12\nduplicate_ttl_s = 1\nhold_time_s = 1\n"
+            "packet_interval_s = 0.5\nsim_duration_s = 30\n",
+        )
+        out = tmp_path / "batch"
+        argv = ["run", scn, "--seed", "0", "--out", str(out), "--jobs", "2"]
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        at = []
+        for seed in (0, 1):
+            tail = f"({out / f'seed-{seed}' / 'summary.txt'})"
+            at.append([i for i, line in enumerate(err) if line.endswith(tail)])
+            assert at[-1], seed
+        assert max(at[0]) < min(at[1])
+
     def test_clean_run_prints_nothing(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, "fixture = k:4\nsim_duration_s = 20\n")
         assert main(["compare", scn, "--out", str(tmp_path / "cmp")]) == EXIT_OK
