@@ -30,7 +30,7 @@ from .errors import AccountingError, ConfigError
 from .fixtures import build_scenario_topology
 from .metrics import MetricsSeries
 from .protocol import (
-    NodeProtocolState,
+    DuplicateCache,
     Packet,
     admit,
     expire_caches,
@@ -226,14 +226,9 @@ class _Run:
         self.initial_assignment = self.assignment
         self.relay_recomputes = 1
         self.hold_us = _us(cfg.hold_time_s)
-        self.states = {
-            u: NodeProtocolState(
-                node_id=u,
-                is_relay=u in self.assignment.relay_set,
-                duplicate_ttl_us=_us(cfg.duplicate_ttl_s),
-            )
-            for u in topo.node_ids()
-        }
+        self.cache = DuplicateCache(
+            _us(cfg.duplicate_ttl_s), {u: {} for u in topo.node_ids()}
+        )
         self.area_side = max(
             cfg.area_side,
             max((max(n.pos[0], n.pos[1]) for n in topo.nodes.values()), default=0.0),
@@ -252,15 +247,12 @@ class _Run:
         drain_s = (len(topo.nodes) + 2) * (cfg.hold_time_s + ser_max + 1.0) + 10.0
         self.cutoff_us = _us(cfg.sim_duration_s + drain_s)
         self.series = MetricsSeries(
-            duration_s=cfg.sim_duration_s,
-            horizon_s=cfg.sim_duration_s + drain_s + ser_max + 2.0,
+            horizon_s=cfg.sim_duration_s + drain_s + ser_max + 2.0
         )
 
         self.seq = 0
         self.expected_bits = 0
         self.expected_packets = 0
-        self.lost_bits = 0
-        self.lost_packets = 0
         # Fresh cache entries written. Each would age out once the run has
         # drained, so this is the summary's `cache_evictions`.
         self.cache_evictions = 0
@@ -338,7 +330,7 @@ class _Run:
             emitter=self.source,
             created_at_us=ev.time_us,
         )
-        if admit(self.states[self.source], pkt.key, ev.time_us):
+        if admit(self.cache, self.source, pkt.key, ev.time_us):
             self.cache_evictions += 1
         t = ev.time_us / US
         self.series.record(t, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
@@ -358,7 +350,7 @@ class _Run:
                 receivers = [v for v in receivers if pkt.emitter in adjacency[v]]
         relays = None if cfg.mode == MODE_BLIND else self.assignment
         dups, firsts, relaying = receive(
-            self.states, pkt, receivers, emit_topo.adjacency, now, relays, cfg.rule2
+            self.cache, pkt, receivers, emit_topo.adjacency, now, relays, cfg.rule2
         )
         key = pkt.key
         for v in firsts:
@@ -366,8 +358,6 @@ class _Run:
         due, data = now + self.hold_us, (pkt,)
         for v in relaying:
             self.queue.push(Event(due, EventKind.RELAY_EMIT, v, data=data))
-        self.lost_bits += wire * len(lost)
-        self.lost_packets += len(lost)
         # `receive` wrote seen[key] = now at each first reception: a fresh entry.
         self.cache_evictions += len(firsts)
         t = now / US
@@ -390,12 +380,9 @@ class _Run:
         if self.assignment.epoch != self.topo.epoch:
             self.assignment = select_relays(self.topo, self.cfg.relay_order)
             self.relay_recomputes += 1
-            for u, state in self.states.items():
-                state.is_relay = u in self.assignment.relay_set
         # `admit` already ignores aged entries; sweeping them only bounds
         # each cache to the keys of the last TTL plus one control interval.
-        for state in self.states.values():
-            expire_caches(state, ev.time_us)
+        expire_caches(self.cache, ev.time_us)
 
     def handle_topo_reconfigure(self, _ev: Event) -> None:
         step = MobilityStep(self.cfg.mobility_displacement, self.area_side)
@@ -426,7 +413,7 @@ class _Run:
         got_bits = (
             totals[mx.BITS_RECEIVED_FIRST]
             + totals[mx.BITS_RECEIVED_DUP]
-            + self.lost_bits
+            + totals[mx.BITS_LOST]
         )
         if got_bits != self.expected_bits:
             raise AccountingError(
@@ -436,7 +423,7 @@ class _Run:
         got_packets = (
             totals[mx.PACKETS_RECEIVED_FIRST]
             + totals[mx.PACKETS_RECEIVED_DUP]
-            + self.lost_packets
+            + totals[mx.PACKETS_LOST]
         )
         if got_packets != self.expected_packets:
             raise AccountingError("packet conservation broken")
@@ -485,7 +472,7 @@ class _Run:
                 "relays_truncated": self.relays_truncated,
                 "cache_evictions": self.cache_evictions,
                 "conservation_sent_bits": self.expected_bits,
-                "conservation_received_bits": got_bits - self.lost_bits,
+                "conservation_received_bits": got_bits - totals[mx.BITS_LOST],
                 "channel_overloaded": series.peak_node_bits_per_second()
                 > cfg.channel_bps,
             }

@@ -44,19 +44,14 @@ CSV_HEADER = "t,node_id,counter,value"
 class MetricsSeries:
     """Sparse bucket map plus run-level metadata filled in by the engine.
 
-    `duration_s` is the configured run length; `horizon_s` additionally
-    allows the drain tail during which in-flight floods complete. Records
-    beyond the horizon indicate an engine bug.
+    `horizon_s` is the configured run length plus the drain tail during
+    which in-flight floods complete. Records beyond the horizon indicate an
+    engine bug.
     """
 
-    duration_s: float
-    horizon_s: float | None = None
+    horizon_s: float
     buckets: dict[int, dict[int, list[int]]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.horizon_s is None:
-            self.horizon_s = self.duration_s
 
     def record(
         self, t: float, nodes: Collection[int], counter: int, amount: int

@@ -1,4 +1,4 @@
-"""Per-node forwarding state machine for optimized and blind flooding.
+"""Forwarding rules and the duplicate cache for optimized and blind flooding.
 
 Two rules govern a relay's retransmission decision:
 
@@ -8,7 +8,8 @@ Two rules govern a relay's retransmission decision:
      relay serves (one of its selectors) or from the packet's origin when
      the origin is a direct neighbor.
 
-A forwarded packet waits out the configured hold time in its own RELAY_EMIT
+A node is a relay iff it is a key of the `RelayAssignment`'s selectors. A
+forwarded packet waits out the configured hold time in its own RELAY_EMIT
 event and leaves with its header grown by one relay-header increment and the
 emitter rewritten to the forwarding node. Blind flooding shares the duplicate
 cache but retransmits every first-seen packet at every node.
@@ -17,23 +18,24 @@ The engine applies both rules with `receive`, once per broadcast over all
 of its receivers. `on_receive` and `blind_flood_on_receive` decide a single
 reception; they are the reference the batch form is tested against.
 
-Cache entries age lazily: `admit` treats an entry older than the TTL as
-absent and overwrites it, and the engine sweeps aged entries out with
-`expire_caches` at each topology-control tick to keep the cache bounded.
+One `DuplicateCache` holds every node's first-seen times under the run's one
+TTL. Entries age lazily: `admit` treats an entry older than the TTL as absent
+and overwrites it, and the engine sweeps every node's aged entries out with
+one `expire_caches` call at each topology-control tick to keep the cache
+bounded.
 
 All time arguments are integer microseconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ProtocolViolationError
 from .relays import RelayAssignment
 
 DEFAULT_PAYLOAD_BITS = 2000
-DEFAULT_DUPLICATE_TTL_US = 30_000_000
 
 
 class Action(Enum):
@@ -63,17 +65,15 @@ class Packet:
 
 
 @dataclass
-class NodeProtocolState:
-    """Mutable per-node forwarding state, owned by the engine's event loop.
+class DuplicateCache:
+    """Every node's duplicate cache, owned by the engine's event loop.
 
-    Only the duplicate cache lives here; a held packet is carried by the
-    engine's RELAY_EMIT event until its hold ends.
+    `seen[node]` maps each (origin, seq) key the node holds to the time it
+    was first seen; all nodes share the one TTL.
     """
 
-    node_id: int
-    is_relay: bool = False
-    duplicate_ttl_us: int = DEFAULT_DUPLICATE_TTL_US
-    seen: dict[tuple[int, int], int] = field(default_factory=dict)
+    ttl_us: int
+    seen: dict[int, dict[tuple[int, int], int]]
 
 
 @dataclass(frozen=True)
@@ -85,80 +85,81 @@ class Eviction:
 
 
 def emitter_eligible(
-    state: NodeProtocolState,
+    node: int,
     pkt: Packet,
     relays: RelayAssignment,
     neighbors: frozenset[int],
 ) -> bool:
-    """True iff this relay may forward a copy heard from pkt.emitter.
+    """True iff relay `node` may forward a copy heard from pkt.emitter.
 
     Eligible emitters are the relay's selectors plus the packet origin when
     the origin is a direct neighbor (a relay always forwards traffic heard
     straight from its source).
     """
-    if pkt.emitter in relays.selectors.get(state.node_id, frozenset()):
+    if pkt.emitter in relays.selectors.get(node, frozenset()):
         return True
     return pkt.emitter == pkt.origin and pkt.origin in neighbors
 
 
-def admit(state: NodeProtocolState, key: tuple[int, int], now_us: int) -> bool:
-    """Cache `key` as first seen at now_us unless it is a duplicate.
+def admit(
+    cache: DuplicateCache, node: int, key: tuple[int, int], now_us: int
+) -> bool:
+    """Cache `key` at `node` as first seen at now_us unless it is a duplicate.
 
     An entry older than the TTL counts as absent and is overwritten; one aged
     exactly the TTL still marks a duplicate. Returns whether `key` was cached.
     """
-    first_seen = state.seen.get(key)
-    if first_seen is not None and now_us - first_seen <= state.duplicate_ttl_us:
+    seen = cache.seen[node]
+    first_seen = seen.get(key)
+    if first_seen is not None and now_us - first_seen <= cache.ttl_us:
         return False
-    state.seen[key] = now_us
+    seen[key] = now_us
     return True
 
 
 def on_receive(
-    state: NodeProtocolState,
+    cache: DuplicateCache,
+    node: int,
     pkt: Packet,
     relays: RelayAssignment,
     neighbors: frozenset[int],
     now_us: int,
     rule2: bool = True,
 ) -> Action:
-    """Process one reception at a node under the optimized-flood rules.
+    """Process one reception at `node` under the optimized-flood rules.
 
     `neighbors` is the receiving node's one-hop set at transmission time; a
     packet from outside it is a simulation bug. With rule2 disabled, any
     relay forwards every first-seen packet (emitter identity ignored).
     """
     if pkt.emitter not in neighbors:
-        raise ProtocolViolationError(
-            f"node {state.node_id} heard non-neighbor {pkt.emitter}"
-        )
-    if not admit(state, pkt.key, now_us):
+        raise ProtocolViolationError(f"node {node} heard non-neighbor {pkt.emitter}")
+    if not admit(cache, node, pkt.key, now_us):
         return Action.DROP_DUPLICATE
-    if state.is_relay and (
-        not rule2 or emitter_eligible(state, pkt, relays, neighbors)
+    if node in relays.selectors and (
+        not rule2 or emitter_eligible(node, pkt, relays, neighbors)
     ):
         return Action.DELIVER_AND_RELAY
     return Action.DELIVER_ONLY
 
 
 def blind_flood_on_receive(
-    state: NodeProtocolState,
+    cache: DuplicateCache,
+    node: int,
     pkt: Packet,
     neighbors: frozenset[int],
     now_us: int,
 ) -> Action:
     """Classic flooding: every node retransmits each first-seen packet once."""
     if pkt.emitter not in neighbors:
-        raise ProtocolViolationError(
-            f"node {state.node_id} heard non-neighbor {pkt.emitter}"
-        )
-    if not admit(state, pkt.key, now_us):
+        raise ProtocolViolationError(f"node {node} heard non-neighbor {pkt.emitter}")
+    if not admit(cache, node, pkt.key, now_us):
         return Action.DROP_DUPLICATE
     return Action.DELIVER_AND_RELAY
 
 
 def receive(
-    states: dict[int, NodeProtocolState],
+    cache: DuplicateCache,
     pkt: Packet,
     receivers: tuple[int, ...] | list[int],
     adjacency: dict[int, frozenset[int]],
@@ -172,28 +173,27 @@ def receive(
     receptions. `adjacency` is the emitter's topology; a receiver outside
     the emitter's neighborhood is a simulation bug. `relays=None` is blind
     flooding: every first reception relays. Otherwise a first reception
-    relays iff the node is a relay and rule 2 is off, the emitter is one of
-    its selectors, or the emitter is the packet's origin. Equivalent to
+    relays iff the node is a relay (a key of `relays.selectors`) and rule 2
+    is off, the emitter is one of its selectors, or the emitter is the
+    packet's origin. Equivalent to
     `on_receive` (or `blind_flood_on_receive`) once per receiver.
     """
     emitter = pkt.emitter
     key = (pkt.origin, pkt.seq)
     from_origin = emitter == pkt.origin
+    selectors = None if relays is None else relays.selectors
     dups: list[int] = []
     firsts: list[int] = []
     relaying: list[int] = []
     for v in receivers:
-        state = states[v]
         if emitter not in adjacency[v]:
-            raise ProtocolViolationError(
-                f"node {state.node_id} heard non-neighbor {emitter}"
-            )
-        if not admit(state, key, now_us):
+            raise ProtocolViolationError(f"node {v} heard non-neighbor {emitter}")
+        if not admit(cache, v, key, now_us):
             dups.append(v)
             continue
         firsts.append(v)
-        if relays is None or state.is_relay and (
-            not rule2 or from_origin or emitter in relays.selectors.get(v, ())
+        if selectors is None or v in selectors and (
+            not rule2 or from_origin or emitter in selectors[v]
         ):
             relaying.append(v)
     return dups, firsts, relaying
@@ -212,13 +212,17 @@ def release_hold(node_id: int, pkt: Packet, header_increment: int) -> Packet:
     )
 
 
-def expire_caches(state: NodeProtocolState, now_us: int) -> Eviction:
-    """Drop cache entries older than the TTL: those `admit` treats as absent.
+def expire_caches(cache: DuplicateCache, now_us: int) -> Eviction:
+    """Drop every node's entries older than the TTL: those `admit` treats as
+    absent. One call sweeps the whole cache.
 
     An entry aged exactly the TTL is retained, so a copy arriving at that
     instant is still a duplicate.
     """
-    aged = [k for k, t0 in state.seen.items() if now_us - t0 > state.duplicate_ttl_us]
-    for k in aged:
-        del state.seen[k]
+    aged: list[tuple[int, int]] = []
+    for seen in cache.seen.values():
+        old = [k for k, t0 in seen.items() if now_us - t0 > cache.ttl_us]
+        for k in old:
+            del seen[k]
+        aged += old
     return Eviction(seen_keys=tuple(aged))

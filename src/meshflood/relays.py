@@ -24,7 +24,6 @@ code path with the selection itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations
 
 from .errors import SizeLimitError, StaleAssignmentError
@@ -44,7 +43,8 @@ class RelayAssignment:
     relays: selected node ids in selection order.
     selectors: for each relay r, every node u for which r bridges at least
         one of u's 2-hop pairs; a relay forwards traffic heard directly from
-        one of these nodes.
+        one of these nodes. Its keys are exactly the relays, in selection
+        order, so `v in selectors` is the one test of relay membership.
     bridge_tests: number of candidate/pair bridge tests the scan made up to
         its last relay, where coverage became complete (workload witness
         for the quadratic loop structure).
@@ -54,11 +54,6 @@ class RelayAssignment:
     selectors: dict[int, frozenset[int]]
     epoch: int
     bridge_tests: int
-
-    @cached_property
-    def relay_set(self) -> frozenset[int]:
-        """The relays as a set, built on first access."""
-        return frozenset(self.relays)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def place_nodes(
     positions: list[tuple[float, float]] = []
     if placement is Placement.GRID:
         side = math.ceil(math.sqrt(count))
-        spacing = area_side / (side - 1) if side > 1 else 0.0
+        spacing = grid_spacing(count, area_side)
         for i in range(count):
             row, col = divmod(i, side)
             positions.append((col * spacing, row * spacing))

@@ -41,3 +41,15 @@ def test_traced_child_run_matches_untraced(tmp_path, mode):
     plain = run_child(tmp_path / "plain", False, text)
     assert "layers" in traced
     assert traced["digests"] == plain["digests"]
+
+
+def test_traced_sweep_is_one_call_per_control_tick(tmp_path):
+    text = (
+        "mode = relay\nfixture = grid:25\nnode_count = 25\n"
+        "duplicate_ttl_s = 6\nsim_duration_s = 30\n"
+    )
+    layers = run_child(tmp_path / "traced", True, text)["layers"]
+    assert layers["engine.events.TOPO_CONTROL"] > 0
+    assert layers["protocol.expire_calls"] == layers["engine.events.TOPO_CONTROL"]
+    assert layers["protocol.evicted_keys"] > 0
+    assert layers["protocol.force_flushed"] == 0

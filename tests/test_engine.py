@@ -22,7 +22,7 @@ from meshflood.engine import (
     serialization_delay_us,
     transmit,
 )
-from meshflood.errors import ConfigError, ProtocolViolationError
+from meshflood.errors import AccountingError, ConfigError, ProtocolViolationError
 from meshflood.fixtures import fig3_topology, path_topology, random_connected_topology
 from meshflood.protocol import Packet
 from meshflood.topology import MobilityStep, reconfigure
@@ -277,7 +277,7 @@ class TestRun:
                 self.note_peak()
 
             def note_peak(self):
-                largest = max(len(s.seen) for s in self.states.values())
+                largest = max(len(seen) for seen in self.cache.seen.values())
                 self.peak = max(self.peak, largest)
 
         r = PeakCache(cfg, scenario_topology(cfg))
@@ -290,6 +290,39 @@ class TestRun:
             / cfg.packet_interval_s
         ) + 1
         assert 0 < r.peak <= bound
+
+    def test_lost_copies_missing_from_the_series_break_conservation(self):
+        # The mobile drop scenario of tests/test_golden.py: it loses copies in
+        # transit, so a series that never stores them must fail the check.
+        cfg = SimConfig(
+            node_count=40,
+            placement="uniform",
+            radio_range=150,
+            channel_bps=20_000,
+            mobility_displacement=40,
+            topo_stability_s=3,
+            hold_time_s=1,
+            duplicate_ttl_s=5,
+            inflight=INFLIGHT_DROP,
+            sim_duration_s=60,
+            seed=3,
+        )
+        assert mx.summarize(run(cfg))["total_packets_lost_in_transit"] > 0
+
+        class LostWritesDropped(_Run):
+            def __init__(self, cfg, topo):
+                super().__init__(cfg, topo)
+                record = self.series.record
+
+                def record_all_but_lost(t, nodes, counter, amount):
+                    if counter not in (mx.BITS_LOST, mx.PACKETS_LOST):
+                        record(t, nodes, counter, amount)
+
+                self.series.record = record_all_but_lost
+
+        r = LostWritesDropped(cfg, scenario_topology(cfg))
+        with pytest.raises(AccountingError, match="bit conservation broken"):
+            r.execute()
 
     @pytest.mark.parametrize("mode", [MODE_RELAY, MODE_BLIND])
     def test_copy_from_a_non_neighbor_surfaces_as_a_violation(self, mode):

@@ -17,33 +17,33 @@ from meshflood.metrics import (
 
 class TestRecord:
     def test_amount_lands_in_floor_bucket(self):
-        series = MetricsSeries(duration_s=300)
+        series = MetricsSeries(horizon_s=300)
         series.record(0.5, (3,), mx.BITS_SENT, 2000)
         assert series.buckets[0][3][mx.BITS_SENT] == 2000
 
     def test_same_bucket_is_additive(self):
-        series = MetricsSeries(duration_s=300)
+        series = MetricsSeries(horizon_s=300)
         series.record(1.2, (3,), mx.BITS_SENT, 100)
         series.record(1.9, (3,), mx.BITS_SENT, 50)
         assert series.buckets[1][3][mx.BITS_SENT] == 150
 
     def test_beyond_duration_rejected(self):
-        series = MetricsSeries(duration_s=300)
+        series = MetricsSeries(horizon_s=300)
         with pytest.raises(AccountingError):
             series.record(300.0, (0,), mx.BITS_SENT, 1)
 
     def test_negative_amount_fatal(self):
-        series = MetricsSeries(duration_s=300)
+        series = MetricsSeries(horizon_s=300)
         with pytest.raises(AccountingError):
             series.record(1.0, (0,), mx.BITS_SENT, -5)
 
     def test_negative_time_rejected(self):
-        series = MetricsSeries(duration_s=300)
+        series = MetricsSeries(horizon_s=300)
         with pytest.raises(AccountingError):
             series.record(-0.1, (0,), mx.BITS_SENT, 1)
 
     def test_batch_adds_to_every_node(self):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         series.record(2.5, (4, 1, 7), mx.BITS_RECEIVED_DUP, 300)
         series.record(2.7, [1], mx.BITS_RECEIVED_DUP, 5)
 
@@ -55,13 +55,13 @@ class TestRecord:
         assert series.buckets == {2: {4: row(300), 1: row(305), 7: row(300)}}
 
     def test_empty_batch_leaves_buckets_unchanged(self):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         series.record(3.0, (), mx.BITS_SENT, 10)
         series.record(4.0, [], mx.PACKETS_SENT, 1)
         assert series.buckets == {}
 
     def test_empty_batch_is_still_checked(self):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         with pytest.raises(AccountingError, match="negative amount"):
             series.record(1.0, (), mx.BITS_SENT, -1)
         with pytest.raises(AccountingError, match="outside horizon"):
@@ -79,8 +79,8 @@ class TestRecord:
         )
     )
     def test_batch_equals_one_call_per_cell(self, writes):
-        batched = MetricsSeries(duration_s=10)
-        single = MetricsSeries(duration_s=10)
+        batched = MetricsSeries(horizon_s=10)
+        single = MetricsSeries(horizon_s=10)
         for t, nodes, counter, amount in writes:
             batched.record(t, nodes, counter, amount)
             for node in nodes:
@@ -98,7 +98,7 @@ class TestRecord:
 
 class TestCounterTotal:
     def test_every_counter_from_one_call(self):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         series.record(0.0, (0,), mx.BITS_SENT, 2000)
         series.record(1.5, (1, 2), mx.BITS_RECEIVED_FIRST, 2000)
         series.record(1.5, (1, 2), mx.PACKETS_RECEIVED_FIRST, 1)
@@ -110,7 +110,7 @@ class TestCounterTotal:
         assert series.counter_total() == expected
 
     def test_empty_series_has_no_totals(self):
-        totals = MetricsSeries(duration_s=10).counter_total()
+        totals = MetricsSeries(horizon_s=10).counter_total()
         assert totals == [0] * len(mx.COUNTERS)
         assert totals[mx.BITS_LOST] == 0
 
@@ -141,18 +141,18 @@ class TestCounters:
 class TestCsv:
     def test_empty_series_exports_header_only(self, tmp_path):
         path = tmp_path / "series.csv"
-        export_csv(MetricsSeries(duration_s=10), path)
+        export_csv(MetricsSeries(horizon_s=10), path)
         assert path.read_text() == "t,node_id,counter,value\n"
 
     def test_single_record_two_lines(self, tmp_path):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         series.record(0.5, (2,), mx.BITS_SENT, 2000)
         path = tmp_path / "series.csv"
         export_csv(series, path)
         assert path.read_text() == "t,node_id,counter,value\n0,2,bits_sent,2000\n"
 
     def test_rows_sorted_and_zero_buckets_omitted(self, tmp_path):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         series.record(5.0, (9,), mx.BITS_RELAYED, 10)
         series.record(2.0, (1,), mx.BITS_SENT, 7)
         series.record(2.0, (1,), mx.PACKETS_SENT, 0)
@@ -187,7 +187,7 @@ class TestCsv:
 
 class TestSummary:
     def test_totals_match_counters(self):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         series.record(0.0, (0,), mx.BITS_SENT, 2000)
         series.record(0.1, (1,), mx.BITS_RECEIVED_FIRST, 2000)
         series.record(0.1, (1,), mx.PACKETS_RECEIVED_FIRST, 1)
@@ -197,10 +197,10 @@ class TestSummary:
         assert summary["redundancy_ratio"] == 0.0
 
     def test_redundancy_zero_when_no_receptions(self):
-        assert summarize(MetricsSeries(duration_s=5))["redundancy_ratio"] == 0.0
+        assert summarize(MetricsSeries(horizon_s=5))["redundancy_ratio"] == 0.0
 
     def test_peak_tracks_emitted_bits(self):
-        series = MetricsSeries(duration_s=10)
+        series = MetricsSeries(horizon_s=10)
         series.record(0.0, (0,), mx.BITS_SENT, 2000)
         series.record(0.2, (0,), mx.BITS_RELAYED, 2200)
         series.record(3.0, (1,), mx.BITS_RELAYED, 2400)

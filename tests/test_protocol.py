@@ -10,7 +10,7 @@ from meshflood.errors import ProtocolViolationError
 from meshflood.fixtures import fig3_topology
 from meshflood.protocol import (
     Action,
-    NodeProtocolState,
+    DuplicateCache,
     Packet,
     admit,
     blind_flood_on_receive,
@@ -44,8 +44,9 @@ def hub_topology():
     return build_topology(nodes, 100.0)
 
 
-def make_state(node_id, is_relay):
-    return NodeProtocolState(node_id=node_id, is_relay=is_relay)
+def make_cache(*nodes):
+    """Empty caches for `nodes` under a 30 s TTL."""
+    return DuplicateCache(30 * S, {u: {} for u in nodes})
 
 
 class TestPacket:
@@ -61,109 +62,105 @@ class TestEmitterEligible:
     def test_fig3_router_serves_the_source(self):
         t = fig3_topology()
         relays = select_relays(t)
-        state = make_state(1, True)
         pkt = Packet(origin=0, seq=0, emitter=0)
-        assert emitter_eligible(state, pkt, relays, t.adjacency[1])
+        assert emitter_eligible(1, pkt, relays, t.adjacency[1])
 
     def test_peer_relay_not_served_is_ineligible(self):
         t = hub_topology()
         relays = select_relays(t)
         assert relays.relays == (0, 3)
         assert 3 not in relays.selectors[0]
-        state = make_state(0, True)
         # Copy of 1's flood as re-emitted by relay 3.
         pkt = Packet(origin=1, seq=0, emitter=3)
-        assert not emitter_eligible(state, pkt, relays, t.adjacency[0])
+        assert not emitter_eligible(0, pkt, relays, t.adjacency[0])
 
     def test_adjacent_origin_is_always_eligible(self):
         t = hub_topology()
         relays = select_relays(t)
-        state = make_state(0, True)
         # 3 is not a selector of 0, but a packet 3 itself originates and
         # emits arrives straight from its source.
         pkt = Packet(origin=3, seq=0, emitter=3)
-        assert emitter_eligible(state, pkt, relays, t.adjacency[0])
+        assert emitter_eligible(0, pkt, relays, t.adjacency[0])
 
     def test_non_neighbor_client_emitter_ineligible(self):
         t = fig3_topology()
         relays = select_relays(t)
-        state = make_state(1, True)
         pkt = Packet(origin=0, seq=0, emitter=6)  # another router's client
-        assert not emitter_eligible(state, pkt, relays, t.adjacency[1])
+        assert not emitter_eligible(1, pkt, relays, t.adjacency[1])
 
 
 class TestOnReceive:
     def test_client_delivers_without_relaying(self):
         t = fig3_topology()
         relays = select_relays(t)
-        state = make_state(4, False)
+        cache = make_cache(4)
         pkt = Packet(origin=0, seq=0, emitter=1, header_bits=200)
-        action = on_receive(state, pkt, relays, t.adjacency[4], now_us=0)
+        action = on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=0)
         assert action is Action.DELIVER_ONLY
 
     def test_duplicate_dropped_even_at_relay(self):
         t = fig3_topology()
         relays = select_relays(t)
-        state = make_state(1, True)
+        cache = make_cache(1)
         pkt = Packet(origin=0, seq=0, emitter=0)
-        first = on_receive(state, pkt, relays, t.adjacency[1], now_us=0)
+        first = on_receive(cache, 1, pkt, relays, t.adjacency[1], now_us=0)
         assert first is Action.DELIVER_AND_RELAY
-        again = on_receive(state, pkt, relays, t.adjacency[1], now_us=5 * S)
+        again = on_receive(cache, 1, pkt, relays, t.adjacency[1], now_us=5 * S)
         assert again is Action.DROP_DUPLICATE
 
     def test_relay_holds_fresh_packet_from_selector(self):
         t = fig3_topology()
         relays = select_relays(t)
-        state = make_state(1, True)
+        cache = make_cache(1)
         pkt = Packet(origin=0, seq=3, emitter=0)
-        action = on_receive(state, pkt, relays, t.adjacency[1], now_us=7 * S)
+        action = on_receive(cache, 1, pkt, relays, t.adjacency[1], now_us=7 * S)
         assert action is Action.DELIVER_AND_RELAY
 
     def test_ineligible_emitter_delivers_only(self):
         t = hub_topology()
         relays = select_relays(t)
-        state = make_state(0, True)
+        cache = make_cache(0)
         pkt = Packet(origin=1, seq=0, emitter=3)
-        action = on_receive(state, pkt, relays, t.adjacency[0], now_us=0)
+        action = on_receive(cache, 0, pkt, relays, t.adjacency[0], now_us=0)
         assert action is Action.DELIVER_ONLY
         # ... and the later copy from an eligible selector is already a dup.
         again = on_receive(
-            state, Packet(origin=1, seq=0, emitter=1), relays, t.adjacency[0], 1 * S
+            cache, 0, Packet(origin=1, seq=0, emitter=1), relays, t.adjacency[0], S
         )
         assert again is Action.DROP_DUPLICATE
 
     def test_rule2_off_relays_any_fresh_packet(self):
         t = hub_topology()
         relays = select_relays(t)
-        state = make_state(0, True)
+        cache = make_cache(0)
         pkt = Packet(origin=1, seq=0, emitter=3)
-        action = on_receive(state, pkt, relays, t.adjacency[0], 0, rule2=False)
+        action = on_receive(cache, 0, pkt, relays, t.adjacency[0], 0, rule2=False)
         assert action is Action.DELIVER_AND_RELAY
 
     def test_non_neighbor_emitter_is_a_violation(self):
         t = fig3_topology()
         relays = select_relays(t)
-        state = make_state(4, False)
+        cache = make_cache(4)
         pkt = Packet(origin=0, seq=0, emitter=2)  # not adjacent to client 4
         with pytest.raises(ProtocolViolationError):
-            on_receive(state, pkt, relays, t.adjacency[4], now_us=0)
+            on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=0)
 
 
 class TestBlindFlood:
     def test_every_first_seen_packet_is_relayed(self):
         t = fig3_topology()
-        state = make_state(4, False)
+        cache = make_cache(4)
         pkt = Packet(origin=0, seq=0, emitter=1)
-        assert blind_flood_on_receive(state, pkt, t.adjacency[4], 0) is (
+        assert blind_flood_on_receive(cache, 4, pkt, t.adjacency[4], 0) is (
             Action.DELIVER_AND_RELAY
         )
 
     def test_duplicates_dropped(self):
         t = fig3_topology()
-        state = make_state(4, False)
+        cache = make_cache(4)
         pkt = Packet(origin=0, seq=0, emitter=1)
-        blind_flood_on_receive(state, pkt, t.adjacency[4], 0)
-        assert blind_flood_on_receive(state, pkt, t.adjacency[4], 1 * S) is (
+        blind_flood_on_receive(cache, 4, pkt, t.adjacency[4], 0)
+        assert blind_flood_on_receive(cache, 4, pkt, t.adjacency[4], 1 * S) is (
             Action.DROP_DUPLICATE
         )
 
@@ -172,8 +169,9 @@ class TestBlindFlood:
 def batch_receptions(draw):
     """A broadcast over a drawn graph, with drawn caches, roles and rules.
 
-    Returns the states, the packet, the receivers (the emitter's neighbors
-    in drawn order), the adjacency, now and a relay assignment.
+    Returns the cache, the packet, the receivers (the emitter's neighbors
+    in drawn order), the adjacency, now and a relay assignment. Relay
+    membership is drawn only through the assignment: its selectors' keys.
     """
     n = draw(st.integers(min_value=2, max_value=7))
     adjacency = {u: set() for u in range(n)}
@@ -192,11 +190,9 @@ def batch_receptions(draw):
 
     ttl = draw(st.integers(min_value=1, max_value=10**8))
     now = 10**9
-    states = {}
+    cache = DuplicateCache(ttl, {})
     for u in range(n):
-        state = NodeProtocolState(
-            node_id=u, is_relay=draw(st.booleans()), duplicate_ttl_us=ttl
-        )
+        seen = cache.seen[u] = {}
         age = draw(
             st.one_of(
                 st.none(),
@@ -205,36 +201,34 @@ def batch_receptions(draw):
             )
         )
         if age is not None:
-            state.seen[pkt.key] = now - age
-        states[u] = state
+            seen[pkt.key] = now - age
 
     nodes = st.sampled_from(range(n))
     selectors = draw(st.dictionaries(nodes, st.frozensets(nodes)))
     relays = RelayAssignment(
-        relays=tuple(sorted(selectors)), selectors=selectors, epoch=0,
-        bridge_tests=0,
+        relays=tuple(selectors), selectors=selectors, epoch=0, bridge_tests=0
     )
-    return states, pkt, receivers, adjacency, now, relays
+    return cache, pkt, receivers, adjacency, now, relays
 
 
 class TestReceiveBatch:
     @settings(max_examples=300, deadline=None)
     @given(batch_receptions())
     def test_matches_one_reference_call_per_receiver(self, args):
-        drawn_states, pkt, receivers, adjacency, now, assignment = args
+        drawn_cache, pkt, receivers, adjacency, now, assignment = args
         # Blind mode, then relay mode with rule 2 on and off.
         for relays, rule2 in ((None, True), (assignment, True), (assignment, False)):
-            states = copy.deepcopy(drawn_states)
-            reference = copy.deepcopy(drawn_states)
+            cache = copy.deepcopy(drawn_cache)
+            reference = copy.deepcopy(drawn_cache)
             actions = []
             for v in receivers:
                 if relays is None:
                     action = blind_flood_on_receive(
-                        reference[v], pkt, adjacency[v], now
+                        reference, v, pkt, adjacency[v], now
                     )
                 else:
                     action = on_receive(
-                        reference[v], pkt, relays, adjacency[v], now, rule2
+                        reference, v, pkt, relays, adjacency[v], now, rule2
                     )
                 actions.append((v, action))
             expected = (
@@ -242,22 +236,20 @@ class TestReceiveBatch:
                 [v for v, a in actions if a is not Action.DROP_DUPLICATE],
                 [v for v, a in actions if a is Action.DELIVER_AND_RELAY],
             )
-            got = receive(states, pkt, receivers, adjacency, now, relays, rule2)
+            got = receive(cache, pkt, receivers, adjacency, now, relays, rule2)
             assert got == expected, (relays, rule2)
-            assert {u: s.seen for u, s in states.items()} == {
-                u: s.seen for u, s in reference.items()
-            }
+            assert cache.seen == reference.seen
 
     @pytest.mark.parametrize("blind", [True, False])
     def test_receiver_outside_emitter_adjacency_is_a_violation(self, blind):
         t = fig3_topology()
         relays = None if blind else select_relays(t)
-        states = {u: make_state(u, False) for u in t.node_ids()}
+        cache = make_cache(*t.node_ids())
         pkt = Packet(origin=0, seq=0, emitter=2)  # not adjacent to client 4
         with pytest.raises(
             ProtocolViolationError, match="node 4 heard non-neighbor 2"
         ):
-            receive(states, pkt, (4,), t.adjacency, 0, relays)
+            receive(cache, pkt, (4,), t.adjacency, 0, relays)
 
 
 class TestHoldBuffer:
@@ -284,44 +276,51 @@ class TestHoldBuffer:
 
 class TestExpireCaches:
     def test_entry_over_ttl_evicted(self):
-        state = make_state(2, False)
-        state.seen[(0, 0)] = 0
-        eviction = expire_caches(state, 31 * S)
-        assert eviction.seen_keys == ((0, 0),)
-        assert not state.seen
+        # One call sweeps both nodes.
+        cache = make_cache(2, 3)
+        cache.seen[2][(0, 0)] = 0
+        cache.seen[3][(0, 0)] = 0
+        cache.seen[3][(0, 1)] = 0
+        eviction = expire_caches(cache, 31 * S)
+        assert eviction.seen_keys == ((0, 0), (0, 0), (0, 1))
+        assert cache.seen == {2: {}, 3: {}}
 
     def test_entry_under_ttl_retained(self):
-        state = make_state(2, False)
-        state.seen[(0, 0)] = 0
-        assert expire_caches(state, 29 * S).seen_keys == ()
-        assert (0, 0) in state.seen
+        cache = make_cache(2, 3)
+        cache.seen[2][(0, 0)] = 0
+        cache.seen[3][(0, 0)] = 5 * S
+        eviction = expire_caches(cache, 34 * S)
+        assert eviction.seen_keys == ((0, 0),)
+        assert cache.seen == {2: {}, 3: {(0, 0): 5 * S}}
 
     def test_entry_at_exactly_ttl_retained(self):
-        state = make_state(2, False)
-        state.seen[(0, 0)] = 0
-        assert expire_caches(state, 30 * S).seen_keys == ()
+        cache = make_cache(2, 3)
+        cache.seen[2][(0, 0)] = 0
+        cache.seen[3][(0, 0)] = 1
+        assert expire_caches(cache, 30 * S).seen_keys == ()
+        assert cache.seen == {2: {(0, 0): 0}, 3: {(0, 0): 1}}
 
     def test_stale_entry_no_longer_blocks_reception(self):
         t = fig3_topology()
         relays = select_relays(t)
-        state = make_state(4, False)
+        cache = make_cache(4)
         pkt = Packet(origin=0, seq=0, emitter=1)
-        on_receive(state, pkt, relays, t.adjacency[4], now_us=0)
+        on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=0)
         # 31 s later the cache entry is stale; the same key reads as fresh.
-        action = on_receive(state, pkt, relays, t.adjacency[4], now_us=31 * S)
+        action = on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=31 * S)
         assert action is Action.DELIVER_ONLY
-        assert state.seen[pkt.key] == 31 * S
+        assert cache.seen[4][pkt.key] == 31 * S
 
 
 class TestAdmit:
     def test_entry_at_exactly_ttl_is_a_duplicate(self):
-        state = make_state(2, False)
-        state.seen[(0, 0)] = 0
-        assert not admit(state, (0, 0), 30 * S)
-        assert state.seen[(0, 0)] == 0
+        cache = make_cache(2)
+        cache.seen[2][(0, 0)] = 0
+        assert not admit(cache, 2, (0, 0), 30 * S)
+        assert cache.seen[2][(0, 0)] == 0
 
     def test_entry_over_ttl_is_overwritten(self):
-        state = make_state(2, False)
-        state.seen[(0, 0)] = 0
-        assert admit(state, (0, 0), 30 * S + 1)
-        assert state.seen[(0, 0)] == 30 * S + 1
+        cache = make_cache(2)
+        cache.seen[2][(0, 0)] = 0
+        assert admit(cache, 2, (0, 0), 30 * S + 1)
+        assert cache.seen[2][(0, 0)] == 30 * S + 1

@@ -64,8 +64,8 @@ class TestSelectRelays:
         t = fig3_topology()
         a = select_relays(t)
         assert a.relays == FIG3_ROUTERS
-        assert not set(FIG3_CLIENTS) & a.relay_set
-        assert 0 not in a.relay_set
+        assert not set(FIG3_CLIENTS) & set(a.relays)
+        assert 0 not in a.relays
         assert coverage_check(t, a.relays) == []
 
     def test_fig3_selectors_include_source(self):
@@ -175,11 +175,6 @@ class TestSelectRelaysMatchesReference:
             assert list(a.selectors) == list(a.relays)
             assert coverage_check(t, a.relays) == [], order
             assert a.epoch == t.epoch
-
-    def test_relay_set_built_once(self):
-        a = select_relays(grid_topology(25))
-        assert a.relay_set is a.relay_set
-        assert a.relay_set == frozenset(a.relays)
 
 
 class TestCoverageCheck:
