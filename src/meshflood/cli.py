@@ -118,14 +118,14 @@ def _run_one(
 ) -> list[str]:
     """Run one scenario into `out_dir`; return its warning lines."""
     topo = scenario_topology(cfg)
-    series = run(cfg, topo)
+    assignment = select_relays(topo, cfg.relay_order)
+    series = run(cfg, topo, assignment)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(series, out_dir / "series.csv")
     warnings = _write_summary(summarize(series), out_dir / "summary.txt")
     if dump_topology:
         save_topology(topo, out_dir / "topology.txt")
     if dump_relay_sets:
-        assignment = select_relays(topo, cfg.relay_order)
         (out_dir / "relays.txt").write_text(dump_relays(assignment), encoding="utf-8")
     return warnings
 
@@ -164,9 +164,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     topo = scenario_topology(cfg)
+    assignment = select_relays(topo, cfg.relay_order)
     summaries = {}
     for mode in (MODE_RELAY, MODE_BLIND):
-        series = run(dataclasses.replace(cfg, mode=mode), topo)
+        series = run(dataclasses.replace(cfg, mode=mode), topo, assignment)
         export_csv(series, out / f"series_{mode}.csv")
         summaries[mode] = summarize(series)
         _print_warnings(_write_summary(summaries[mode], out / f"summary_{mode}.txt"))

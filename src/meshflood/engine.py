@@ -7,6 +7,12 @@ the duplicate-cache sweep before traffic at the same instant:
 
     TOPO_RECONFIGURE < TOPO_CONTROL < EMIT_FROM_SOURCE < RELAY_EMIT < RECEIVE
 
+One broadcast hop is one RELAY_EMIT: a RECEIVE pushes at most one, with its
+emitter as subject and its relaying nodes as data. Same-instant rule: the
+RELAY_EMITs due at one instant come from RECEIVEs of one instant, so they pop
+in those RECEIVEs' (emitter, insertion) order, and each node emits, and
+pushes the RECEIVEs it causes, in the order one event per node would give.
+
 The source emits on its interval for the configured duration; after the last
 scheduled second the loop keeps draining in-flight receptions and held
 retransmissions so every flood completes. Receptions are delivered to the
@@ -39,7 +45,7 @@ from .protocol import (
 )
 # Unused here: benches/tracer.py wraps these two by name on this module.
 from .protocol import blind_flood_on_receive, on_receive  # noqa: F401
-from .relays import RelayAssignment, cardinality_report, select_relays
+from .relays import RELAY_ORDERS, RelayAssignment, cardinality_report, select_relays
 from .topology import (
     MobilityStep,
     Placement,
@@ -55,7 +61,6 @@ MODE_RELAY = "relay"
 MODE_BLIND = "blind"
 INFLIGHT_DELIVER = "deliver"
 INFLIGHT_DROP = "drop"
-RELAY_ORDERS = ("ascending", "descending", "degree")
 
 
 class EventKind(IntEnum):
@@ -140,16 +145,9 @@ class SimConfig:
             raise ConfigError("channel_bps must be positive")
         if self.payload_bits < 1 or self.header_bits_per_relay < 0:
             raise ConfigError("invalid packet sizing")
-        for name in (
-            "packet_interval_s",
-            "topo_control_interval_s",
-            "hold_time_s",
-            "topo_stability_s",
-            "duplicate_ttl_s",
-            "sim_duration_s",
-        ):
-            if _us(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be at least 1 microsecond")
+        for f in dataclasses.fields(self):
+            if f.name.endswith("_s") and _us(getattr(self, f.name)) < 1:
+                raise ConfigError(f"{f.name} must be at least 1 microsecond")
         if self.sim_duration_s < self.packet_interval_s:
             raise ConfigError("sim_duration_s must be at least packet_interval_s")
         # A node's next fresh copy of a key then comes after its hold of the
@@ -215,14 +213,16 @@ def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
 class _Run:
     """Mutable state for one simulation execution."""
 
-    def __init__(self, cfg: SimConfig, topo: Topology):
+    def __init__(
+        self, cfg: SimConfig, topo: Topology, assignment: RelayAssignment | None = None
+    ):
         self.cfg = cfg
         self.topo = topo
         self.initial_topo = topo
         self.source = topo.source_id
         self.queue = EventQueue()
         self.mobility_rng = random.Random(f"{cfg.seed}:mobility")
-        self.assignment: RelayAssignment = select_relays(topo, cfg.relay_order)
+        self.assignment = assignment or select_relays(topo, cfg.relay_order)
         self.initial_assignment = self.assignment
         self.relay_recomputes = 1
         self.hold_us = _us(cfg.hold_time_s)
@@ -287,34 +287,16 @@ class _Run:
 
     # -- traffic helpers ------------------------------------------------
 
-    def _broadcast(self, pkt: Packet, now_us: int) -> None:
+    def _broadcast(self, emitter: int, pkt: Packet, now_us: int) -> None:
         arrival, receivers = transmit(
-            self.topo, pkt.emitter, pkt, now_us, self.cfg.channel_bps
+            self.topo, emitter, pkt, now_us, self.cfg.channel_bps
         )
         wire = pkt.wire_size_bits
         self.expected_bits += wire * len(receivers)
         self.expected_packets += len(receivers)
         if receivers:
-            self.queue.push(
-                Event(
-                    arrival,
-                    EventKind.RECEIVE,
-                    pkt.emitter,
-                    data=(pkt, receivers, self.topo),
-                )
-            )
-
-    def _emit_from_relay(self, node: int, out: Packet, now_us: int) -> None:
-        if now_us >= self.cutoff_us:
-            self.relays_truncated += 1
-            return
-        if out.key in self.relayed_keys[node]:
-            self.relay_loop_violations += 1
-        self.relayed_keys[node].add(out.key)
-        t = now_us / US
-        self.series.record(t, (node,), mx.BITS_RELAYED, out.wire_size_bits)
-        self.series.record(t, (node,), mx.PACKETS_RELAYED, 1)
-        self._broadcast(out, now_us)
+            data = (pkt, receivers, self.topo)
+            self.queue.push(Event(arrival, EventKind.RECEIVE, emitter, data))
 
     # -- event handlers ---------------------------------------------------
 
@@ -327,7 +309,6 @@ class _Run:
             seq=seq,
             payload_bits=_rate_schedule_payload(cfg, ev.time_us),
             header_bits=0,
-            emitter=self.source,
             created_at_us=ev.time_us,
         )
         if admit(self.cache, self.source, pkt.key, ev.time_us):
@@ -335,29 +316,31 @@ class _Run:
         t = ev.time_us / US
         self.series.record(t, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
         self.series.record(t, (self.source,), mx.PACKETS_SENT, 1)
-        self._broadcast(pkt, ev.time_us)
+        self._broadcast(self.source, pkt, ev.time_us)
 
     def handle_receive(self, ev: Event) -> None:
         pkt, receivers, emit_topo = ev.data
+        emitter = ev.subject
         cfg = self.cfg
         now = ev.time_us
         wire = pkt.wire_size_bits
         lost = []
         if cfg.inflight == INFLIGHT_DROP and emit_topo.epoch != self.topo.epoch:
             adjacency = self.topo.adjacency
-            lost = [v for v in receivers if pkt.emitter not in adjacency[v]]
+            lost = [v for v in receivers if emitter not in adjacency[v]]
             if lost:
-                receivers = [v for v in receivers if pkt.emitter in adjacency[v]]
+                receivers = [v for v in receivers if emitter in adjacency[v]]
         relays = None if cfg.mode == MODE_BLIND else self.assignment
+        heard = emit_topo.adjacency
         dups, firsts, relaying = receive(
-            self.cache, pkt, receivers, emit_topo.adjacency, now, relays, cfg.rule2
+            self.cache, pkt, emitter, receivers, heard, now, relays, cfg.rule2
         )
         key = pkt.key
         for v in firsts:
             self.delivered_keys[v].add(key)
-        due, data = now + self.hold_us, (pkt,)
-        for v in relaying:
-            self.queue.push(Event(due, EventKind.RELAY_EMIT, v, data=data))
+        if relaying:
+            due = now + self.hold_us
+            self.queue.push(Event(due, EventKind.RELAY_EMIT, emitter, (pkt, relaying)))
         # `receive` wrote seen[key] = now at each first reception: a fresh entry.
         self.cache_evictions += len(firsts)
         t = now / US
@@ -372,9 +355,22 @@ class _Run:
                 record(t, nodes, packets_counter, 1)
 
     def handle_relay_emit(self, ev: Event) -> None:
-        (pkt,) = ev.data
-        out = release_hold(ev.subject, pkt, self.cfg.header_bits_per_relay)
-        self._emit_from_relay(ev.subject, out, ev.time_us)
+        pkt, nodes = ev.data
+        now = ev.time_us
+        if now >= self.cutoff_us:
+            self.relays_truncated += len(nodes)
+            return
+        out = release_hold(pkt, self.cfg.header_bits_per_relay)
+        t = now / US
+        self.series.record(t, nodes, mx.BITS_RELAYED, out.wire_size_bits)
+        self.series.record(t, nodes, mx.PACKETS_RELAYED, 1)
+        key = out.key
+        for node in nodes:
+            relayed = self.relayed_keys[node]
+            if key in relayed:
+                self.relay_loop_violations += 1
+            relayed.add(key)
+            self._broadcast(node, out, now)
 
     def handle_topo_control(self, ev: Event) -> None:
         if self.assignment.epoch != self.topo.epoch:
@@ -491,13 +487,19 @@ def scenario_topology(cfg: SimConfig) -> Topology:
     )
 
 
-def run(cfg: SimConfig, topology: Topology | None = None) -> MetricsSeries:
+def run(
+    cfg: SimConfig,
+    topology: Topology | None = None,
+    assignment: RelayAssignment | None = None,
+) -> MetricsSeries:
     """Execute one scenario and return its complete metrics series.
 
     The same configuration (including seed) always produces a bit-identical
-    series. An explicitly supplied topology overrides placement settings.
+    series. An explicitly supplied topology overrides placement settings. A
+    supplied `assignment` must be `select_relays(topology, cfg.relay_order)`;
+    it saves the run that selection scan.
     """
     cfg.validate()
     if topology is None:
         topology = scenario_topology(cfg)
-    return _Run(cfg, topology).execute()
+    return _Run(cfg, topology, assignment).execute()

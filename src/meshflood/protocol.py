@@ -9,10 +9,10 @@ Two rules govern a relay's retransmission decision:
      the origin is a direct neighbor.
 
 A node is a relay iff it is a key of the `RelayAssignment`'s selectors. A
-forwarded packet waits out the configured hold time in its own RELAY_EMIT
-event and leaves with its header grown by one relay-header increment and the
-emitter rewritten to the forwarding node. Blind flooding shares the duplicate
-cache but retransmits every first-seen packet at every node.
+forwarded packet waits out the configured hold time and leaves with its
+header grown by one relay-header increment. A packet does not name its
+emitter: the engine passes the emitter beside it. Blind flooding shares the
+duplicate cache but retransmits every first-seen packet at every node.
 
 The engine applies both rules with `receive`, once per broadcast over all
 of its receivers. `on_receive` and `blind_flood_on_receive` decide a single
@@ -29,13 +29,11 @@ All time arguments are integer microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ProtocolViolationError
 from .relays import RelayAssignment
-
-DEFAULT_PAYLOAD_BITS = 2000
 
 
 class Action(Enum):
@@ -50,9 +48,8 @@ class Packet:
 
     origin: int
     seq: int
-    payload_bits: int = DEFAULT_PAYLOAD_BITS
+    payload_bits: int = 2000
     header_bits: int = 0
-    emitter: int = -1
     created_at_us: int = 0
 
     @property
@@ -87,18 +84,19 @@ class Eviction:
 def emitter_eligible(
     node: int,
     pkt: Packet,
+    emitter: int,
     relays: RelayAssignment,
     neighbors: frozenset[int],
 ) -> bool:
-    """True iff relay `node` may forward a copy heard from pkt.emitter.
+    """True iff relay `node` may forward a copy of `pkt` heard from `emitter`.
 
     Eligible emitters are the relay's selectors plus the packet origin when
     the origin is a direct neighbor (a relay always forwards traffic heard
     straight from its source).
     """
-    if pkt.emitter in relays.selectors.get(node, frozenset()):
+    if emitter in relays.selectors.get(node, frozenset()):
         return True
-    return pkt.emitter == pkt.origin and pkt.origin in neighbors
+    return emitter == pkt.origin and pkt.origin in neighbors
 
 
 def admit(
@@ -121,23 +119,24 @@ def on_receive(
     cache: DuplicateCache,
     node: int,
     pkt: Packet,
+    emitter: int,
     relays: RelayAssignment,
     neighbors: frozenset[int],
     now_us: int,
     rule2: bool = True,
 ) -> Action:
-    """Process one reception at `node` under the optimized-flood rules.
+    """Process one copy `node` hears from `emitter` under the optimized rules.
 
     `neighbors` is the receiving node's one-hop set at transmission time; a
     packet from outside it is a simulation bug. With rule2 disabled, any
     relay forwards every first-seen packet (emitter identity ignored).
     """
-    if pkt.emitter not in neighbors:
-        raise ProtocolViolationError(f"node {node} heard non-neighbor {pkt.emitter}")
+    if emitter not in neighbors:
+        raise ProtocolViolationError(f"node {node} heard non-neighbor {emitter}")
     if not admit(cache, node, pkt.key, now_us):
         return Action.DROP_DUPLICATE
     if node in relays.selectors and (
-        not rule2 or emitter_eligible(node, pkt, relays, neighbors)
+        not rule2 or emitter_eligible(node, pkt, emitter, relays, neighbors)
     ):
         return Action.DELIVER_AND_RELAY
     return Action.DELIVER_ONLY
@@ -147,12 +146,13 @@ def blind_flood_on_receive(
     cache: DuplicateCache,
     node: int,
     pkt: Packet,
+    emitter: int,
     neighbors: frozenset[int],
     now_us: int,
 ) -> Action:
     """Classic flooding: every node retransmits each first-seen packet once."""
-    if pkt.emitter not in neighbors:
-        raise ProtocolViolationError(f"node {node} heard non-neighbor {pkt.emitter}")
+    if emitter not in neighbors:
+        raise ProtocolViolationError(f"node {node} heard non-neighbor {emitter}")
     if not admit(cache, node, pkt.key, now_us):
         return Action.DROP_DUPLICATE
     return Action.DELIVER_AND_RELAY
@@ -161,13 +161,14 @@ def blind_flood_on_receive(
 def receive(
     cache: DuplicateCache,
     pkt: Packet,
+    emitter: int,
     receivers: tuple[int, ...] | list[int],
     adjacency: dict[int, frozenset[int]],
     now_us: int,
     relays: RelayAssignment | None = None,
     rule2: bool = True,
 ) -> tuple[list[int], list[int], list[int]]:
-    """One broadcast's receptions: (duplicates, first receptions, relaying).
+    """One broadcast by `emitter`: (duplicates, first receptions, relaying).
 
     Each list keeps receiver order, and relaying is a subset of the first
     receptions. `adjacency` is the emitter's topology; a receiver outside
@@ -178,7 +179,6 @@ def receive(
     packet's origin. Equivalent to
     `on_receive` (or `blind_flood_on_receive`) once per receiver.
     """
-    emitter = pkt.emitter
     key = (pkt.origin, pkt.seq)
     from_origin = emitter == pkt.origin
     selectors = None if relays is None else relays.selectors
@@ -199,17 +199,10 @@ def receive(
     return dups, firsts, relaying
 
 
-def release_hold(node_id: int, pkt: Packet, header_increment: int) -> Packet:
+def release_hold(pkt: Packet, header_increment: int) -> Packet:
     """The copy of a held packet that goes back on the wire: one more
-    relay-header increment, and `node_id` named as its emitter."""
-    return Packet(
-        origin=pkt.origin,
-        seq=pkt.seq,
-        payload_bits=pkt.payload_bits,
-        header_bits=pkt.header_bits + header_increment,
-        emitter=node_id,
-        created_at_us=pkt.created_at_us,
-    )
+    relay-header increment. Every relay of one batch sends this same copy."""
+    return replace(pkt, header_bits=pkt.header_bits + header_increment)
 
 
 def expire_caches(cache: DuplicateCache, now_us: int) -> Eviction:

@@ -32,6 +32,7 @@ from .topology import Topology, two_hop
 ORDER_ASCENDING = "ascending"
 ORDER_DESCENDING = "descending"
 ORDER_DEGREE = "degree"
+RELAY_ORDERS = (ORDER_ASCENDING, ORDER_DESCENDING, ORDER_DEGREE)
 
 BRUTE_FORCE_MAX_NODES = 12
 

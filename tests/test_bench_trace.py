@@ -53,3 +53,18 @@ def test_traced_sweep_is_one_call_per_control_tick(tmp_path):
     assert layers["protocol.expire_calls"] == layers["engine.events.TOPO_CONTROL"]
     assert layers["protocol.evicted_keys"] > 0
     assert layers["protocol.force_flushed"] == 0
+
+
+def test_traced_blind_run_releases_once_per_broadcast_hop(tmp_path):
+    # One RELAY_EMIT per RECEIVE that has relaying nodes, each with one
+    # release_hold call, so a blind grid (several relays per hop) has fewer
+    # of them than relayed or truncated copies.
+    text = "mode = blind\nfixture = grid:25\nnode_count = 25\nsim_duration_s = 20\n"
+    out = tmp_path / "traced"
+    layers = run_child(out, True, text)["layers"]
+    summary = dict(
+        line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
+    )
+    held = int(summary["total_packets_relayed"]) + int(summary["relays_truncated"])
+    assert layers["protocol.release_hold_calls"] == layers["engine.events.RELAY_EMIT"]
+    assert 0 < layers["engine.events.RELAY_EMIT"] < held

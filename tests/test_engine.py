@@ -1,5 +1,7 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from meshflood.engine import (
 )
 from meshflood.errors import AccountingError, ConfigError, ProtocolViolationError
 from meshflood.fixtures import fig3_topology, path_topology, random_connected_topology
+from meshflood.metrics import export_csv, export_summary
 from meshflood.protocol import Packet
 from meshflood.topology import MobilityStep, reconfigure
 
@@ -97,19 +100,19 @@ class TestTransmit:
         assert serialization_delay_us(2000, 11_000_000) == 181
 
     def test_relayed_packet_is_2200_bits(self):
-        pkt = Packet(origin=0, seq=0, payload_bits=2000, header_bits=200, emitter=1)
+        pkt = Packet(origin=0, seq=0, payload_bits=2000, header_bits=200)
         assert pkt.wire_size_bits == 2200
         assert serialization_delay_us(2200, 11_000_000) == 200
 
     def test_isolated_emitter_reaches_nobody(self):
         t = path_topology(1)
-        pkt = Packet(origin=0, seq=0, emitter=0)
+        pkt = Packet(origin=0, seq=0)
         _, receivers = transmit(t, 0, pkt, 0, 11_000_000)
         assert receivers == ()
 
     def test_all_neighbors_receive_at_the_same_instant(self):
         t = fig3_topology()
-        pkt = Packet(origin=0, seq=0, emitter=0)
+        pkt = Packet(origin=0, seq=0)
         arrival, receivers = transmit(t, 0, pkt, 1_000, 11_000_000)
         assert receivers == (1, 2, 3)
         assert arrival == 1_000 + 181
@@ -117,7 +120,7 @@ class TestTransmit:
     def test_receivers_are_each_epochs_neighbors_in_id_order(self):
         t = random_connected_topology(60, 3)
         moved = reconfigure(t, MobilityStep(50.0), 7)
-        pkt = Packet(origin=0, seq=0, emitter=0)
+        pkt = Packet(origin=0, seq=0)
         for topo in (t, moved):
             for u in topo.node_ids():
                 _, receivers = transmit(topo, u, pkt, 0, 11_000_000)
@@ -208,7 +211,40 @@ def small_configs(draw):
     )
 
 
+class PerNodeRelayQueue(EventQueue):
+    """Splits each RELAY_EMIT batch into one event per relaying node, with
+    the node as its subject: the reference order of one event per relay."""
+
+    def push(self, event: Event) -> None:
+        if event.kind is not EventKind.RELAY_EMIT:
+            super().push(event)
+            return
+        pkt, nodes = event.data
+        for v in nodes:
+            super().push(event._replace(subject=v, data=(pkt, (v,))))
+
+
+def output_bytes(series) -> tuple[bytes, bytes]:
+    """The `series.csv` and `summary.txt` bytes `meshflood run` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, summary_path = Path(tmp, "series.csv"), Path(tmp, "summary.txt")
+        export_csv(series, csv_path)
+        export_summary(mx.summarize(series), summary_path)
+        return csv_path.read_bytes(), summary_path.read_bytes()
+
+
 class TestRun:
+    @settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_batched_relay_emits_match_one_event_per_relay(self, cfg):
+        cfg.validate()
+        topo = scenario_topology(cfg)
+        per_node = _Run(cfg, topo)
+        per_node.queue = PerNodeRelayQueue()
+        assert output_bytes(per_node.execute()) == output_bytes(
+            _Run(cfg, topo).execute()
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(small_configs())
     def test_conservation_and_exactly_once_across_configs(self, cfg):
@@ -330,7 +366,7 @@ class TestRun:
         topo = scenario_topology(cfg)
         assert 2 not in topo.adjacency[4]
         r = _Run(cfg, topo)
-        pkt = Packet(origin=0, seq=99, emitter=2)
+        pkt = Packet(origin=0, seq=99)
         r.queue.push(Event(0, EventKind.RECEIVE, 2, data=(pkt, (4,), topo)))
         with pytest.raises(ProtocolViolationError, match="node 4 heard non-neighbor 2"):
             r.execute()

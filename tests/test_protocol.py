@@ -51,7 +51,7 @@ def make_cache(*nodes):
 
 class TestPacket:
     def test_wire_size_is_payload_plus_header(self):
-        pkt = Packet(origin=0, seq=1, payload_bits=2000, header_bits=400, emitter=2)
+        pkt = Packet(origin=0, seq=1, payload_bits=2000, header_bits=400)
         assert pkt.wire_size_bits == 2400
 
     def test_key(self):
@@ -62,8 +62,8 @@ class TestEmitterEligible:
     def test_fig3_router_serves_the_source(self):
         t = fig3_topology()
         relays = select_relays(t)
-        pkt = Packet(origin=0, seq=0, emitter=0)
-        assert emitter_eligible(1, pkt, relays, t.adjacency[1])
+        pkt = Packet(origin=0, seq=0)
+        assert emitter_eligible(1, pkt, 0, relays, t.adjacency[1])
 
     def test_peer_relay_not_served_is_ineligible(self):
         t = hub_topology()
@@ -71,22 +71,23 @@ class TestEmitterEligible:
         assert relays.relays == (0, 3)
         assert 3 not in relays.selectors[0]
         # Copy of 1's flood as re-emitted by relay 3.
-        pkt = Packet(origin=1, seq=0, emitter=3)
-        assert not emitter_eligible(0, pkt, relays, t.adjacency[0])
+        pkt = Packet(origin=1, seq=0)
+        assert not emitter_eligible(0, pkt, 3, relays, t.adjacency[0])
 
     def test_adjacent_origin_is_always_eligible(self):
         t = hub_topology()
         relays = select_relays(t)
         # 3 is not a selector of 0, but a packet 3 itself originates and
         # emits arrives straight from its source.
-        pkt = Packet(origin=3, seq=0, emitter=3)
-        assert emitter_eligible(0, pkt, relays, t.adjacency[0])
+        pkt = Packet(origin=3, seq=0)
+        assert emitter_eligible(0, pkt, 3, relays, t.adjacency[0])
 
     def test_non_neighbor_client_emitter_ineligible(self):
         t = fig3_topology()
         relays = select_relays(t)
-        pkt = Packet(origin=0, seq=0, emitter=6)  # another router's client
-        assert not emitter_eligible(1, pkt, relays, t.adjacency[1])
+        pkt = Packet(origin=0, seq=0)
+        # 6 is another router's client.
+        assert not emitter_eligible(1, pkt, 6, relays, t.adjacency[1])
 
 
 class TestOnReceive:
@@ -94,73 +95,72 @@ class TestOnReceive:
         t = fig3_topology()
         relays = select_relays(t)
         cache = make_cache(4)
-        pkt = Packet(origin=0, seq=0, emitter=1, header_bits=200)
-        action = on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=0)
+        pkt = Packet(origin=0, seq=0, header_bits=200)
+        action = on_receive(cache, 4, pkt, 1, relays, t.adjacency[4], now_us=0)
         assert action is Action.DELIVER_ONLY
 
     def test_duplicate_dropped_even_at_relay(self):
         t = fig3_topology()
         relays = select_relays(t)
         cache = make_cache(1)
-        pkt = Packet(origin=0, seq=0, emitter=0)
-        first = on_receive(cache, 1, pkt, relays, t.adjacency[1], now_us=0)
+        pkt = Packet(origin=0, seq=0)
+        first = on_receive(cache, 1, pkt, 0, relays, t.adjacency[1], now_us=0)
         assert first is Action.DELIVER_AND_RELAY
-        again = on_receive(cache, 1, pkt, relays, t.adjacency[1], now_us=5 * S)
+        again = on_receive(cache, 1, pkt, 0, relays, t.adjacency[1], now_us=5 * S)
         assert again is Action.DROP_DUPLICATE
 
     def test_relay_holds_fresh_packet_from_selector(self):
         t = fig3_topology()
         relays = select_relays(t)
         cache = make_cache(1)
-        pkt = Packet(origin=0, seq=3, emitter=0)
-        action = on_receive(cache, 1, pkt, relays, t.adjacency[1], now_us=7 * S)
+        pkt = Packet(origin=0, seq=3)
+        action = on_receive(cache, 1, pkt, 0, relays, t.adjacency[1], now_us=7 * S)
         assert action is Action.DELIVER_AND_RELAY
 
     def test_ineligible_emitter_delivers_only(self):
         t = hub_topology()
         relays = select_relays(t)
         cache = make_cache(0)
-        pkt = Packet(origin=1, seq=0, emitter=3)
-        action = on_receive(cache, 0, pkt, relays, t.adjacency[0], now_us=0)
+        pkt = Packet(origin=1, seq=0)
+        action = on_receive(cache, 0, pkt, 3, relays, t.adjacency[0], now_us=0)
         assert action is Action.DELIVER_ONLY
         # ... and the later copy from an eligible selector is already a dup.
-        again = on_receive(
-            cache, 0, Packet(origin=1, seq=0, emitter=1), relays, t.adjacency[0], S
-        )
+        again = on_receive(cache, 0, pkt, 1, relays, t.adjacency[0], S)
         assert again is Action.DROP_DUPLICATE
 
     def test_rule2_off_relays_any_fresh_packet(self):
         t = hub_topology()
         relays = select_relays(t)
         cache = make_cache(0)
-        pkt = Packet(origin=1, seq=0, emitter=3)
-        action = on_receive(cache, 0, pkt, relays, t.adjacency[0], 0, rule2=False)
+        pkt = Packet(origin=1, seq=0)
+        action = on_receive(cache, 0, pkt, 3, relays, t.adjacency[0], 0, rule2=False)
         assert action is Action.DELIVER_AND_RELAY
 
     def test_non_neighbor_emitter_is_a_violation(self):
         t = fig3_topology()
         relays = select_relays(t)
         cache = make_cache(4)
-        pkt = Packet(origin=0, seq=0, emitter=2)  # not adjacent to client 4
+        pkt = Packet(origin=0, seq=0)
         with pytest.raises(ProtocolViolationError):
-            on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=0)
+            # 2 is not adjacent to client 4.
+            on_receive(cache, 4, pkt, 2, relays, t.adjacency[4], now_us=0)
 
 
 class TestBlindFlood:
     def test_every_first_seen_packet_is_relayed(self):
         t = fig3_topology()
         cache = make_cache(4)
-        pkt = Packet(origin=0, seq=0, emitter=1)
-        assert blind_flood_on_receive(cache, 4, pkt, t.adjacency[4], 0) is (
+        pkt = Packet(origin=0, seq=0)
+        assert blind_flood_on_receive(cache, 4, pkt, 1, t.adjacency[4], 0) is (
             Action.DELIVER_AND_RELAY
         )
 
     def test_duplicates_dropped(self):
         t = fig3_topology()
         cache = make_cache(4)
-        pkt = Packet(origin=0, seq=0, emitter=1)
-        blind_flood_on_receive(cache, 4, pkt, t.adjacency[4], 0)
-        assert blind_flood_on_receive(cache, 4, pkt, t.adjacency[4], 1 * S) is (
+        pkt = Packet(origin=0, seq=0)
+        blind_flood_on_receive(cache, 4, pkt, 1, t.adjacency[4], 0)
+        assert blind_flood_on_receive(cache, 4, pkt, 1, t.adjacency[4], 1 * S) is (
             Action.DROP_DUPLICATE
         )
 
@@ -169,8 +169,9 @@ class TestBlindFlood:
 def batch_receptions(draw):
     """A broadcast over a drawn graph, with drawn caches, roles and rules.
 
-    Returns the cache, the packet, the receivers (the emitter's neighbors
-    in drawn order), the adjacency, now and a relay assignment. Relay
+    Returns the cache, the packet, its emitter, the receivers (the
+    emitter's neighbors in drawn order), the adjacency, now and a relay
+    assignment. Relay
     membership is drawn only through the assignment: its selectors' keys.
     """
     n = draw(st.integers(min_value=2, max_value=7))
@@ -185,7 +186,7 @@ def batch_receptions(draw):
     others = [u for u in range(n) if u != emitter]
     origin = emitter if draw(st.booleans()) else draw(st.sampled_from(others))
     seq = draw(st.integers(min_value=0, max_value=2))
-    pkt = Packet(origin=origin, seq=seq, emitter=emitter)
+    pkt = Packet(origin=origin, seq=seq)
     receivers = draw(st.permutations(sorted(adjacency[emitter])))
 
     ttl = draw(st.integers(min_value=1, max_value=10**8))
@@ -208,14 +209,14 @@ def batch_receptions(draw):
     relays = RelayAssignment(
         relays=tuple(selectors), selectors=selectors, epoch=0, bridge_tests=0
     )
-    return cache, pkt, receivers, adjacency, now, relays
+    return cache, pkt, emitter, receivers, adjacency, now, relays
 
 
 class TestReceiveBatch:
     @settings(max_examples=300, deadline=None)
     @given(batch_receptions())
     def test_matches_one_reference_call_per_receiver(self, args):
-        drawn_cache, pkt, receivers, adjacency, now, assignment = args
+        drawn_cache, pkt, emitter, receivers, adjacency, now, assignment = args
         # Blind mode, then relay mode with rule 2 on and off.
         for relays, rule2 in ((None, True), (assignment, True), (assignment, False)):
             cache = copy.deepcopy(drawn_cache)
@@ -224,11 +225,11 @@ class TestReceiveBatch:
             for v in receivers:
                 if relays is None:
                     action = blind_flood_on_receive(
-                        reference, v, pkt, adjacency[v], now
+                        reference, v, pkt, emitter, adjacency[v], now
                     )
                 else:
                     action = on_receive(
-                        reference, v, pkt, relays, adjacency[v], now, rule2
+                        reference, v, pkt, emitter, relays, adjacency[v], now, rule2
                     )
                 actions.append((v, action))
             expected = (
@@ -236,7 +237,9 @@ class TestReceiveBatch:
                 [v for v, a in actions if a is not Action.DROP_DUPLICATE],
                 [v for v, a in actions if a is Action.DELIVER_AND_RELAY],
             )
-            got = receive(cache, pkt, receivers, adjacency, now, relays, rule2)
+            got = receive(
+                cache, pkt, emitter, receivers, adjacency, now, relays, rule2
+            )
             assert got == expected, (relays, rule2)
             assert cache.seen == reference.seen
 
@@ -245,19 +248,19 @@ class TestReceiveBatch:
         t = fig3_topology()
         relays = None if blind else select_relays(t)
         cache = make_cache(*t.node_ids())
-        pkt = Packet(origin=0, seq=0, emitter=2)  # not adjacent to client 4
+        pkt = Packet(origin=0, seq=0)
         with pytest.raises(
             ProtocolViolationError, match="node 4 heard non-neighbor 2"
         ):
-            receive(cache, pkt, (4,), t.adjacency, 0, relays)
+            # 2 is not adjacent to client 4.
+            receive(cache, pkt, 2, (4,), t.adjacency, 0, relays)
 
 
 class TestHoldBuffer:
-    def test_release_grows_header_and_rewrites_emitter(self):
-        pkt = Packet(origin=0, seq=0, payload_bits=2000, header_bits=0, emitter=0)
-        out = release_hold(1, pkt, 200)
+    def test_release_grows_header(self):
+        pkt = Packet(origin=0, seq=0, payload_bits=2000, header_bits=0)
+        out = release_hold(pkt, 200)
         assert out.header_bits == 200
-        assert out.emitter == 1
         assert out.wire_size_bits == 2200
         assert out.key == pkt.key
 
@@ -268,10 +271,8 @@ class TestHoldBuffer:
             f.name: 101 + i for i, f in enumerate(dataclasses.fields(Packet))
         }
         pkt = Packet(**values)
-        expected = dataclasses.replace(
-            pkt, header_bits=pkt.header_bits + 7, emitter=5
-        )
-        assert release_hold(5, pkt, 7) == expected
+        expected = dataclasses.replace(pkt, header_bits=pkt.header_bits + 7)
+        assert release_hold(pkt, 7) == expected
 
 
 class TestExpireCaches:
@@ -304,10 +305,10 @@ class TestExpireCaches:
         t = fig3_topology()
         relays = select_relays(t)
         cache = make_cache(4)
-        pkt = Packet(origin=0, seq=0, emitter=1)
-        on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=0)
+        pkt = Packet(origin=0, seq=0)
+        on_receive(cache, 4, pkt, 1, relays, t.adjacency[4], now_us=0)
         # 31 s later the cache entry is stale; the same key reads as fresh.
-        action = on_receive(cache, 4, pkt, relays, t.adjacency[4], now_us=31 * S)
+        action = on_receive(cache, 4, pkt, 1, relays, t.adjacency[4], now_us=31 * S)
         assert action is Action.DELIVER_ONLY
         assert cache.seen[4][pkt.key] == 31 * S
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from meshflood import cli, engine
 from meshflood.cli import EXIT_CONFIG, EXIT_OK, main
 from meshflood.engine import (
     INFLIGHT_DELIVER,
@@ -16,6 +17,7 @@ from meshflood.engine import (
 )
 from meshflood.errors import ConfigError
 from meshflood.metrics import summarize
+from meshflood.relays import select_relays
 from meshflood.scenario import parse_rate_schedule, parse_scenario_text
 from meshflood.topology import Placement
 
@@ -174,6 +176,22 @@ class TestCmdRun:
         assert [line.split()[1] for line in relays] == ["1", "2", "3"]
         assert (out / "series.csv").exists()
         assert (out / "summary.txt").exists()
+
+    def test_dump_relays_selects_relays_once(self, tmp_path, monkeypatch):
+        # relays.txt is the run's own initial assignment, not a second scan.
+        calls = []
+
+        def counting_select_relays(*args):
+            calls.append(args)
+            return select_relays(*args)
+
+        monkeypatch.setattr(cli, "select_relays", counting_select_relays)
+        monkeypatch.setattr(engine, "select_relays", counting_select_relays)
+        scn = write_scenario(tmp_path, "fixture = grid:25\nsim_duration_s = 20\n")
+        out = tmp_path / "out"
+        assert main(["run", scn, "--out", str(out), "--dump-relays"]) == EXIT_OK
+        assert len(calls) == 1
+        assert (out / "relays.txt").exists()
 
     def test_missing_scenario_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.scn")]) == EXIT_CONFIG
