@@ -19,6 +19,13 @@ retransmissions so every flood completes. Receptions are delivered to the
 neighbors the emitter had at transmission time; the `inflight=drop` flag
 instead re-checks adjacency on arrival and counts newly unreachable copies
 as lost in transit. Either way the bit-conservation identity is exact.
+
+Work is done only for the snapshots traffic reads. A mobility step only moves
+the nodes; the new snapshot's adjacency is built on its first read. A
+topology-control tick that finds the cover stale only notes the current
+snapshot: the cover is selected for it when a relay-mode reception first
+needs it, so a tick replaced before any flood reads it costs no scan.
+`relay_recomputes` counts the ticks that replaced the cover.
 """
 
 from __future__ import annotations
@@ -224,6 +231,9 @@ class _Run:
         self.mobility_rng = random.Random(f"{cfg.seed}:mobility")
         self.assignment = assignment or select_relays(topo, cfg.relay_order)
         self.initial_assignment = self.assignment
+        # The snapshot the cover is selected on; `assignment` is None until
+        # a relay reception first reads the cover of a newly stale tick.
+        self.cover_topo = topo
         self.relay_recomputes = 1
         self.hold_us = _us(cfg.hold_time_s)
         self.cache = DuplicateCache(
@@ -330,7 +340,14 @@ class _Run:
             lost = [v for v in receivers if emitter not in adjacency[v]]
             if lost:
                 receivers = [v for v in receivers if emitter in adjacency[v]]
-        relays = None if cfg.mode == MODE_BLIND else self.assignment
+        if cfg.mode == MODE_BLIND:
+            relays = None
+        else:
+            relays = self.assignment
+            if relays is None:
+                relays = self.assignment = select_relays(
+                    self.cover_topo, cfg.relay_order
+                )
         heard = emit_topo.adjacency
         dups, firsts, relaying = receive(
             self.cache, pkt, emitter, receivers, heard, now, relays, cfg.rule2
@@ -373,8 +390,9 @@ class _Run:
             self._broadcast(node, out, now)
 
     def handle_topo_control(self, ev: Event) -> None:
-        if self.assignment.epoch != self.topo.epoch:
-            self.assignment = select_relays(self.topo, self.cfg.relay_order)
+        if self.cover_topo.epoch != self.topo.epoch:
+            self.cover_topo = self.topo
+            self.assignment = None
             self.relay_recomputes += 1
         # `admit` already ignores aged entries; sweeping them only bounds
         # each cache to the keys of the last TTL plus one control interval.

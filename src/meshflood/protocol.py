@@ -29,7 +29,7 @@ All time arguments are integer microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ProtocolViolationError
@@ -202,7 +202,15 @@ def receive(
 def release_hold(pkt: Packet, header_increment: int) -> Packet:
     """The copy of a held packet that goes back on the wire: one more
     relay-header increment. Every relay of one batch sends this same copy."""
-    return replace(pkt, header_bits=pkt.header_bits + header_increment)
+    # The constructor, not `dataclasses.replace`, which costs about three
+    # times as much per call.
+    return Packet(
+        pkt.origin,
+        pkt.seq,
+        pkt.payload_bits,
+        pkt.header_bits + header_increment,
+        pkt.created_at_us,
+    )
 
 
 def expire_caches(cache: DuplicateCache, now_us: int) -> Eviction:

@@ -8,10 +8,12 @@ involved), so identical calls always return identical results.
 The disk adjacency is built on a uniform grid of square cells whose side is
 the radio range, so each node is tested only against the nodes of the 3x3
 block of cells around its own: O(n * degree) work per topology instead of
-O(n^2). It runs once at set-up and again at every mobility reconfiguration.
-A node lying within float-rounding distance of a cell edge also searches the
-cell beyond that edge (see `_cell_span`), so the grid links exactly the
-pairs the all-pairs `math.dist(...) <= radio_range` test would. Inputs the
+O(n^2). `build_topology` runs it at set-up; a snapshot made by a mobility
+reconfiguration runs it on the first read of its `adjacency`, so a snapshot
+that neither traffic nor relay selection reads is never built. A node lying
+within float-rounding distance of a cell edge also searches the cell beyond
+that edge (see `_cell_span`), so the grid links exactly the pairs the
+all-pairs `math.dist(...) <= radio_range` test would. Inputs the
 grid cannot index exactly (a tiny or non-finite range, or a coordinate that
 is non-finite or 2**50 ranges out) put every node in one cell instead.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -58,12 +60,23 @@ class MobilityStep:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable snapshot of node positions and disk adjacency."""
+    """Immutable snapshot of node positions and their disk adjacency.
+
+    `edges`, when given, is taken as the adjacency: `build_topology` passes
+    the disk adjacency it built, `load_topology` a file's links. Otherwise
+    the disk adjacency of the positions is built on first read.
+    """
 
     nodes: dict[int, Node]
     radio_range: float
-    adjacency: dict[int, frozenset[int]]
     epoch: int = 0
+    edges: dict[int, frozenset[int]] | None = field(default=None, repr=False)
+
+    @cached_property
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        if self.edges is not None:
+            return self.edges
+        return _disk_adjacency(self.nodes, self.radio_range)
 
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
@@ -198,7 +211,8 @@ def build_topology(nodes: list[Node], radio_range: float) -> Topology:
     node_map = {n.id: n for n in nodes}
     if len(node_map) != len(nodes):
         raise ValueError("duplicate node ids")
-    return Topology(node_map, radio_range, _disk_adjacency(node_map, radio_range))
+    adjacency = _disk_adjacency(node_map, radio_range)
+    return Topology(node_map, radio_range, edges=adjacency)
 
 
 def one_hop(t: Topology, u: int) -> frozenset[int]:
@@ -242,12 +256,13 @@ def reachable_from(t: Topology, start: int) -> frozenset[int]:
 
 
 def reconfigure(t: Topology, mobility: MobilityStep, seed: int) -> Topology:
-    """Perturb every non-source node by a seeded displacement and rebuild links.
+    """Perturb every non-source node by a seeded displacement.
 
     Displacements are drawn in polar form (radius uniform in
     [0, max_displacement], angle uniform), so no node moves farther than the
     configured bound. Positions are clamped to [0, area_side]. The epoch is
-    incremented even when max_displacement is zero.
+    incremented even when max_displacement is zero. The new snapshot's links
+    are built on the first read of its `adjacency`.
     """
     rng = random.Random(seed)
     moved: dict[int, Node] = {}
@@ -261,9 +276,7 @@ def reconfigure(t: Topology, mobility: MobilityStep, seed: int) -> Topology:
         x = min(max(node.pos[0] + radius * math.cos(angle), 0.0), mobility.area_side)
         y = min(max(node.pos[1] + radius * math.sin(angle), 0.0), mobility.area_side)
         moved[u] = Node(node.id, node.role, (x, y))
-    return Topology(
-        moved, t.radio_range, _disk_adjacency(moved, t.radio_range), t.epoch + 1
-    )
+    return Topology(moved, t.radio_range, t.epoch + 1)
 
 
 def save_topology(t: Topology, path) -> None:
@@ -303,4 +316,5 @@ def load_topology(path) -> Topology:
                 links[v].add(u)
             else:
                 raise ValueError(f"unrecognized topology line: {raw.strip()}")
-    return Topology(nodes, radio_range, {u: frozenset(s) for u, s in links.items()})
+    edges = {u: frozenset(s) for u, s in links.items()}
+    return Topology(nodes, radio_range, edges=edges)

@@ -4,9 +4,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from meshflood import engine, topology
 from meshflood import metrics as mx
 from meshflood.engine import (
     INFLIGHT_DELIVER,
@@ -27,7 +28,8 @@ from meshflood.engine import (
 from meshflood.errors import AccountingError, ConfigError, ProtocolViolationError
 from meshflood.fixtures import fig3_topology, path_topology, random_connected_topology
 from meshflood.metrics import export_csv, export_summary
-from meshflood.protocol import Packet
+from meshflood.protocol import Packet, expire_caches
+from meshflood.relays import select_relays
 from meshflood.topology import MobilityStep, reconfigure
 
 
@@ -211,6 +213,66 @@ def small_configs(draw):
     )
 
 
+@st.composite
+def mobile_configs(draw):
+    hold = draw(st.sampled_from([0.5, 1.0]))
+    return SimConfig(
+        placement="uniform",
+        node_count=draw(st.integers(4, 24)),
+        radio_range=draw(st.sampled_from([150.0, 250.0])),
+        seed=draw(st.integers(0, 50)),
+        mode=draw(st.sampled_from([MODE_RELAY, MODE_BLIND])),
+        inflight=draw(st.sampled_from([INFLIGHT_DELIVER, INFLIGHT_DROP])),
+        rule2=draw(st.booleans()),
+        relay_order=draw(st.sampled_from(RELAY_ORDERS)),
+        repeat_seq=draw(st.booleans()),
+        channel_bps=draw(st.sampled_from([11_000_000, 20_000])),
+        hold_time_s=hold,
+        duplicate_ttl_s=draw(st.floats(min_value=hold, max_value=3 * hold)),
+        # Floods sparser than the mobility steps leave snapshots unread, and
+        # off the control ticks they read a cover after a later step.
+        packet_interval_s=draw(st.sampled_from([0.5, 3.3, 7.1])),
+        mobility_displacement=draw(st.sampled_from([20.0, 60.0])),
+        # Never equal, so a step can fall between a tick and the next read.
+        topo_control_interval_s=draw(st.sampled_from([1.0, 2.0, 5.0])),
+        topo_stability_s=draw(st.sampled_from([0.7, 1.5, 3.0])),
+        sim_duration_s=20.0,
+    )
+
+
+class EagerRun(_Run):
+    """Builds the adjacency of every mobility snapshot when it is made and
+    selects the cover at every stale topology-control tick: the lazy
+    engine's reference."""
+
+    def handle_topo_reconfigure(self, ev):
+        super().handle_topo_reconfigure(ev)
+        self.topo.adjacency
+
+    def handle_topo_control(self, ev):
+        if self.assignment.epoch != self.topo.epoch:
+            self.assignment = select_relays(self.topo, self.cfg.relay_order)
+            self.relay_recomputes += 1
+        expire_caches(self.cache, ev.time_us)
+
+
+class Snapshots(_Run):
+    """Keeps every snapshot of the run and the epochs broadcasts used."""
+
+    def __init__(self, cfg, topo):
+        super().__init__(cfg, topo)
+        self.snapshots = [topo]
+        self.broadcast_epochs = set()
+
+    def handle_topo_reconfigure(self, ev):
+        super().handle_topo_reconfigure(ev)
+        self.snapshots.append(self.topo)
+
+    def _broadcast(self, emitter, pkt, now_us):
+        self.broadcast_epochs.add(self.topo.epoch)
+        super()._broadcast(emitter, pkt, now_us)
+
+
 class PerNodeRelayQueue(EventQueue):
     """Splits each RELAY_EMIT batch into one event per relaying node, with
     the node as its subject: the reference order of one event per relay."""
@@ -244,6 +306,84 @@ class TestRun:
         assert output_bytes(per_node.execute()) == output_bytes(
             _Run(cfg, topo).execute()
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(mobile_configs())
+    @example(
+        # The tick at 5 s finds the cover stale, a step at 6 s moves the
+        # nodes, and the flood at 6.6 s must still read the 5 s snapshot's
+        # cover.
+        SimConfig(
+            placement="uniform",
+            node_count=10,
+            radio_range=250.0,
+            seed=6,
+            rule2=False,
+            relay_order="degree",
+            repeat_seq=True,
+            hold_time_s=1.0,
+            duplicate_ttl_s=2.0,
+            packet_interval_s=3.3,
+            mobility_displacement=60.0,
+            topo_control_interval_s=5.0,
+            topo_stability_s=3.0,
+            sim_duration_s=20.0,
+        )
+    )
+    def test_lazy_snapshots_and_covers_match_eager_ones(self, cfg):
+        cfg.validate()
+        topo = scenario_topology(cfg)
+        assert output_bytes(EagerRun(cfg, topo).execute()) == output_bytes(
+            _Run(cfg, topo).execute()
+        )
+
+    def test_only_snapshots_traffic_reads_are_built(self, monkeypatch):
+        # Nine mobility steps and nine ticks that find the cover stale, but
+        # the floods at 0 s and 10 s each finish within two seconds.
+        cfg = SimConfig(
+            placement="uniform",
+            node_count=30,
+            radio_range=150.0,
+            seed=1,
+            mobility_displacement=40.0,
+            topo_stability_s=2.0,
+            topo_control_interval_s=1.0,
+            packet_interval_s=10.0,
+            hold_time_s=0.5,
+            duplicate_ttl_s=3.0,
+            sim_duration_s=20.0,
+        )
+        built = []  # the node maps whose disk adjacency was built
+        selected = []  # the epochs a cover was selected for
+        disk_adjacency, select = topology._disk_adjacency, engine.select_relays
+
+        def counting_disk_adjacency(nodes, radio_range):
+            built.append(nodes)
+            return disk_adjacency(nodes, radio_range)
+
+        def counting_select(t, order):
+            selected.append(t.epoch)
+            return select(t, order)
+
+        monkeypatch.setattr(topology, "_disk_adjacency", counting_disk_adjacency)
+        monkeypatch.setattr(engine, "select_relays", counting_select)
+        r = Snapshots(cfg, scenario_topology(cfg))
+        r.execute()
+
+        reconfigures = len(r.snapshots) - 1
+        assert reconfigures == 9
+        assert len(selected) < r.relay_recomputes
+        assert len(built) < reconfigures
+        builds = {
+            snap.epoch: sum(nodes is snap.nodes for nodes in built)
+            for snap in r.snapshots
+        }
+        for epoch in r.broadcast_epochs:
+            assert builds[epoch] == 1, epoch
+        # Only the snapshots traffic or a cover selection read were built.
+        read = r.broadcast_epochs | set(selected)
+        assert {epoch for epoch, n in builds.items() if n} == read
+        assert sum(builds.values()) == len(built)
 
     @settings(max_examples=60, deadline=None)
     @given(small_configs())

@@ -1,7 +1,9 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meshflood import cli, engine
@@ -267,6 +269,38 @@ class TestCmdRun:
             assert (out / "seed-4" / name).read_bytes() != (
                 out / "seed-5" / name
             ).read_bytes(), name
+
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.builds(
+            SimConfig,
+            placement=st.sampled_from([p.value for p in Placement]),
+            node_count=st.integers(1, 16),
+            radio_range=st.sampled_from([100.0, 200.0]),
+            mode=st.sampled_from([MODE_RELAY, MODE_BLIND]),
+            inflight=st.sampled_from([INFLIGHT_DELIVER, INFLIGHT_DROP]),
+            relay_order=st.sampled_from(RELAY_ORDERS),
+            mobility_displacement=st.sampled_from([0.0, 50.0]),
+            topo_stability_s=st.sampled_from([2.0, 5.0]),
+            seed=st.integers(0, 1000),
+            sim_duration_s=st.sampled_from([4.0, 10.0]),
+        )
+    )
+    def test_jobs_match_solo_runs_across_configs(self, cfg):
+        names = ("series.csv", "summary.txt")
+        with tempfile.TemporaryDirectory() as tmp:
+            scn = write_scenario(Path(tmp), scenario_text(cfg))
+            batch = Path(tmp, "batch")
+            assert main(["run", scn, "--out", str(batch), "--jobs", "2"]) == EXIT_OK
+            for seed in (cfg.seed, cfg.seed + 1):
+                solo = Path(tmp, f"solo-{seed}")
+                argv = ["run", scn, "--seed", str(seed), "--out", str(solo)]
+                assert main(argv + ["--jobs", "1"]) == EXIT_OK
+                for name in names:
+                    assert (batch / f"seed-{seed}" / name).read_bytes() == (
+                        solo / name
+                    ).read_bytes(), (seed, name)
 
 
 class TestWarnings:
