@@ -131,9 +131,11 @@ def _run_one(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
-    if args.jobs <= 1:
+    if args.jobs == 1:
         _print_warnings(_run_one(cfg, out, args.dump_topology, args.dump_relays))
         return EXIT_OK
 

@@ -12,6 +12,10 @@ emitter as subject and its relaying nodes as data. Same-instant rule: the
 RELAY_EMITs due at one instant come from RECEIVEs of one instant, so they pop
 in those RECEIVEs' (emitter, insertion) order, and each node emits, and
 pushes the RECEIVEs it causes, in the order one event per node would give.
+Same-instant order matters only within one packet key: events of different
+keys touch disjoint cache entries and key sets and add to commutative
+counters, so any order across keys that keeps each key's own order gives the
+same outputs.
 
 The source emits on its interval for the configured duration; after the last
 scheduled second the loop keeps draining in-flight receptions and held
@@ -41,7 +45,7 @@ from typing import NamedTuple
 from . import metrics as mx
 from .errors import AccountingError, ConfigError
 from .fixtures import build_scenario_topology
-from .metrics import MetricsSeries
+from .metrics import US, MetricsSeries
 from .protocol import (
     DuplicateCache,
     Packet,
@@ -61,8 +65,6 @@ from .topology import (
     reachable_from,
     reconfigure,
 )
-
-US = 1_000_000
 
 MODE_RELAY = "relay"
 MODE_BLIND = "blind"
@@ -239,10 +241,11 @@ class _Run:
         self.cache = DuplicateCache(
             _us(cfg.duplicate_ttl_s), {u: {} for u in topo.node_ids()}
         )
-        self.area_side = max(
+        area_side = max(
             cfg.area_side,
             max((max(n.pos[0], n.pos[1]) for n in topo.nodes.values()), default=0.0),
         )
+        self.mobility_step = MobilityStep(cfg.mobility_displacement, area_side)
 
         # Drain allowance: one relay chain is at most one hop per node, each
         # hop costing hold time plus serialization. TTL ageing can re-arm
@@ -257,7 +260,7 @@ class _Run:
         drain_s = (len(topo.nodes) + 2) * (cfg.hold_time_s + ser_max + 1.0) + 10.0
         self.cutoff_us = _us(cfg.sim_duration_s + drain_s)
         self.series = MetricsSeries(
-            horizon_s=cfg.sim_duration_s + drain_s + ser_max + 2.0
+            horizon_us=_us(cfg.sim_duration_s + drain_s + ser_max + 2.0)
         )
 
         self.seq = 0
@@ -323,9 +326,7 @@ class _Run:
         )
         if admit(self.cache, self.source, pkt.key, ev.time_us):
             self.cache_evictions += 1
-        t = ev.time_us / US
-        self.series.record(t, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
-        self.series.record(t, (self.source,), mx.PACKETS_SENT, 1)
+        self.series.record(ev.time_us, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
         self._broadcast(self.source, pkt, ev.time_us)
 
     def handle_receive(self, ev: Event) -> None:
@@ -360,16 +361,9 @@ class _Run:
             self.queue.push(Event(due, EventKind.RELAY_EMIT, emitter, (pkt, relaying)))
         # `receive` wrote seen[key] = now at each first reception: a fresh entry.
         self.cache_evictions += len(firsts)
-        t = now / US
-        record = self.series.record
-        for nodes, bits_counter, packets_counter in (
-            (lost, mx.BITS_LOST, mx.PACKETS_LOST),
-            (dups, mx.BITS_RECEIVED_DUP, mx.PACKETS_RECEIVED_DUP),
-            (firsts, mx.BITS_RECEIVED_FIRST, mx.PACKETS_RECEIVED_FIRST),
-        ):
-            if nodes:
-                record(t, nodes, bits_counter, wire)
-                record(t, nodes, packets_counter, 1)
+        self.series.record(now, lost, mx.BITS_LOST, wire)
+        self.series.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
+        self.series.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
 
     def handle_relay_emit(self, ev: Event) -> None:
         pkt, nodes = ev.data
@@ -378,9 +372,7 @@ class _Run:
             self.relays_truncated += len(nodes)
             return
         out = release_hold(pkt, self.cfg.header_bits_per_relay)
-        t = now / US
-        self.series.record(t, nodes, mx.BITS_RELAYED, out.wire_size_bits)
-        self.series.record(t, nodes, mx.PACKETS_RELAYED, 1)
+        self.series.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
         key = out.key
         for node in nodes:
             relayed = self.relayed_keys[node]
@@ -399,8 +391,8 @@ class _Run:
         expire_caches(self.cache, ev.time_us)
 
     def handle_topo_reconfigure(self, _ev: Event) -> None:
-        step = MobilityStep(self.cfg.mobility_displacement, self.area_side)
-        self.topo = reconfigure(self.topo, step, self.mobility_rng.getrandbits(64))
+        seed = self.mobility_rng.getrandbits(64)
+        self.topo = reconfigure(self.topo, self.mobility_step, seed)
 
     # -- main loop --------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Per-second, per-node traffic counters and scenario summaries.
 
-Counters live in one-second buckets keyed by the floor of the event time, so
-a bucket holds the bits (or packets) that crossed a node during that second.
-All amounts are integers; the accounting identity
+Counters live in one-second buckets keyed by `now_us // US` of the engine's
+integer-microsecond clock, so a bucket holds the bits and packets that crossed
+a node during that second; `record` counts one packet and its wire bits at
+each node. All amounts are integers; the accounting identity
 
     sent bits (wire size x receiver count, summed over transmissions)
       == first receptions + duplicate receptions + lost in transit
@@ -12,27 +13,20 @@ is exact, never approximate.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import AccountingError, ComparisonError
 
-# The counter names in sorted order, which is `export_csv`'s row order. A
+US = 1_000_000  # microseconds per second
+
+# Five traffic classes, each with a bits and a packets counter. `COUNTERS`
+# lists the names in sorted order, which is `export_csv`'s row order, so a
+# class's packets counter sits `len(_CLASSES)` after its bits counter. A
 # (second, node) cell is a row of one int per counter; the constants index it.
-COUNTERS = (
-    "bits_lost_in_transit",
-    "bits_received_dup",
-    "bits_received_first",
-    "bits_relayed",
-    "bits_sent",
-    "packets_lost_in_transit",
-    "packets_received_dup",
-    "packets_received_first",
-    "packets_relayed",
-    "packets_sent",
-)
+_CLASSES = ("lost_in_transit", "received_dup", "received_first", "relayed", "sent")
+COUNTERS = tuple(f"{unit}_{name}" for unit in ("bits", "packets") for name in _CLASSES)
 (BITS_LOST, BITS_RECEIVED_DUP, BITS_RECEIVED_FIRST, BITS_RELAYED, BITS_SENT,
  PACKETS_LOST, PACKETS_RECEIVED_DUP, PACKETS_RECEIVED_FIRST, PACKETS_RELAYED,
  PACKETS_SENT) = range(len(COUNTERS))
@@ -44,37 +38,40 @@ CSV_HEADER = "t,node_id,counter,value"
 class MetricsSeries:
     """Sparse bucket map plus run-level metadata filled in by the engine.
 
-    `horizon_s` is the configured run length plus the drain tail during
-    which in-flight floods complete. Records beyond the horizon indicate an
-    engine bug.
+    `horizon_us` is the configured run length plus the drain tail during
+    which in-flight floods complete, in microseconds. Records beyond the
+    horizon indicate an engine bug.
     """
 
-    horizon_s: float
+    horizon_us: int
     buckets: dict[int, dict[int, list[int]]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def record(
-        self, t: float, nodes: Collection[int], counter: int, amount: int
+        self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
     ) -> None:
-        """Add `amount` to `counter` (an index into `COUNTERS`) at every node
-        in `nodes`, in the bucket for second floor(t). An empty `nodes` leaves
-        the buckets unchanged."""
-        if amount < 0:
+        """Count one packet of `wire_bits` bits at every node in `nodes`: add
+        `wire_bits` to `bits_counter` (a `BITS_*` index) and 1 to the class's
+        packets counter, in the bucket for second `now_us // US`. An empty
+        `nodes` leaves the buckets unchanged."""
+        if wire_bits < 0:
             raise AccountingError(
-                f"negative amount {amount} for {COUNTERS[counter]}"
+                f"negative amount {wire_bits} for {COUNTERS[bits_counter]}"
             )
-        if t < 0 or t >= self.horizon_s:
+        if now_us < 0 or now_us >= self.horizon_us:
             raise AccountingError(
-                f"record at t={t} outside horizon [0, {self.horizon_s})"
+                f"record at t={now_us} us outside horizon [0, {self.horizon_us}) us"
             )
         if not nodes:
             return
-        bucket = self.buckets.setdefault(int(math.floor(t)), {})
+        packets_counter = bits_counter + len(_CLASSES)
+        bucket = self.buckets.setdefault(now_us // US, {})
         for node in nodes:
             row = bucket.get(node)
             if row is None:
                 row = bucket[node] = [0] * len(COUNTERS)
-            row[counter] += amount
+            row[bits_counter] += wire_bits
+            row[packets_counter] += 1
 
     def counter_total(self) -> list[int]:
         """Every counter summed across all buckets and nodes, from one scan,

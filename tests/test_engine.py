@@ -1,3 +1,6 @@
+import dataclasses
+import heapq
+import itertools
 import math
 import random
 import tempfile
@@ -240,6 +243,22 @@ def mobile_configs(draw):
     )
 
 
+# The mobile drop scenario of tests/test_golden.py.
+MOBILE_DROP = SimConfig(
+    node_count=40,
+    placement="uniform",
+    radio_range=150,
+    channel_bps=20_000,
+    mobility_displacement=40,
+    topo_stability_s=3,
+    hold_time_s=1,
+    duplicate_ttl_s=5,
+    inflight=INFLIGHT_DROP,
+    sim_duration_s=60,
+    seed=3,
+)
+
+
 class EagerRun(_Run):
     """Builds the adjacency of every mobility snapshot when it is made and
     selects the cover at every stale topology-control tick: the lazy
@@ -286,6 +305,42 @@ class PerNodeRelayQueue(EventQueue):
             super().push(event._replace(subject=v, data=(pkt, (v,))))
 
 
+class RankedQueue:
+    """Pops same-instant events of one kind by `rank(event)` before the
+    subject; the real queue's (subject, insertion) order breaks ties."""
+
+    def __init__(self, rank):
+        self.rank = rank
+        self.heap = []
+        self.pushed = itertools.count()
+
+    def __len__(self):
+        return len(self.heap)
+
+    def push(self, event):
+        key = (event.time_us, event.kind, self.rank(event), event.subject)
+        heapq.heappush(self.heap, key + (next(self.pushed), event))
+
+    def pop(self):
+        return heapq.heappop(self.heap)[-1] if self.heap else None
+
+
+def per_key_rank(salt):
+    """A salted hash of the event's packet key: any order across keys, the
+    real order among one key's events. Packet-less events rank 0."""
+    return lambda ev: hash((ev.data[0].key, salt)) if ev.data else 0
+
+
+@st.composite
+def scheduled_configs(draw):
+    """A small or mobile config with a drawn source rate schedule."""
+    cfg = draw(st.one_of(small_configs(), mobile_configs()))
+    schedule = draw(
+        st.sampled_from([(), ((0.0, 2000), (4.0, 900)), ((3.0, 20_000),)])
+    )
+    return dataclasses.replace(cfg, rate_schedule=schedule)
+
+
 def output_bytes(series) -> tuple[bytes, bytes]:
     """The `series.csv` and `summary.txt` bytes `meshflood run` writes."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -306,6 +361,36 @@ class TestRun:
         assert output_bytes(per_node.execute()) == output_bytes(
             _Run(cfg, topo).execute()
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheduled_configs(), st.integers(0, 2**32))
+    # Copies of one key meet at one instant here; see the next test.
+    @example(MOBILE_DROP, 0)
+    def test_same_instant_order_across_keys_leaves_outputs_unchanged(
+        self, cfg, salt
+    ):
+        cfg.validate()
+        topo = scenario_topology(cfg)
+        ranked = _Run(cfg, topo)
+        ranked.queue = RankedQueue(per_key_rank(salt))
+        assert output_bytes(ranked.execute()) == output_bytes(
+            _Run(cfg, topo).execute()
+        )
+
+    def test_order_within_one_key_matters(self):
+        # Copies of one key that arrive at one instant from different
+        # emitters depend on their order, so a rank that ignores the key
+        # changes the outputs that the per-key rank leaves unchanged.
+        cfg = MOBILE_DROP
+        topo = scenario_topology(cfg)
+        expected = output_bytes(_Run(cfg, topo).execute())
+        rng = random.Random(0)
+        key_blind = _Run(cfg, topo)
+        key_blind.queue = RankedQueue(lambda ev: rng.random())
+        assert output_bytes(key_blind.execute()) != expected
+        per_key = _Run(cfg, topo)
+        per_key.queue = RankedQueue(per_key_rank(0))
+        assert output_bytes(per_key.execute()) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(mobile_configs())
@@ -468,21 +553,9 @@ class TestRun:
         assert 0 < r.peak <= bound
 
     def test_lost_copies_missing_from_the_series_break_conservation(self):
-        # The mobile drop scenario of tests/test_golden.py: it loses copies in
-        # transit, so a series that never stores them must fail the check.
-        cfg = SimConfig(
-            node_count=40,
-            placement="uniform",
-            radio_range=150,
-            channel_bps=20_000,
-            mobility_displacement=40,
-            topo_stability_s=3,
-            hold_time_s=1,
-            duplicate_ttl_s=5,
-            inflight=INFLIGHT_DROP,
-            sim_duration_s=60,
-            seed=3,
-        )
+        # It loses copies in transit, so a series that never stores them
+        # must fail the check.
+        cfg = MOBILE_DROP
         assert mx.summarize(run(cfg))["total_packets_lost_in_transit"] > 0
 
         class LostWritesDropped(_Run):
@@ -490,9 +563,9 @@ class TestRun:
                 super().__init__(cfg, topo)
                 record = self.series.record
 
-                def record_all_but_lost(t, nodes, counter, amount):
-                    if counter not in (mx.BITS_LOST, mx.PACKETS_LOST):
-                        record(t, nodes, counter, amount)
+                def record_all_but_lost(now_us, nodes, bits_counter, wire_bits):
+                    if bits_counter != mx.BITS_LOST:
+                        record(now_us, nodes, bits_counter, wire_bits)
 
                 self.series.record = record_all_but_lost
 

@@ -6,6 +6,7 @@ from meshflood import metrics as mx
 from meshflood.engine import SimConfig, run
 from meshflood.errors import AccountingError, ComparisonError
 from meshflood.metrics import (
+    US,
     MetricsSeries,
     compare,
     export_csv,
@@ -15,77 +16,125 @@ from meshflood.metrics import (
 )
 
 
+BITS_COUNTERS = (
+    mx.BITS_LOST,
+    mx.BITS_RECEIVED_DUP,
+    mx.BITS_RECEIVED_FIRST,
+    mx.BITS_RELAYED,
+    mx.BITS_SENT,
+)
+
+
+def packets_of(bits_counter):
+    """The packets counter of a bits counter's class, found by name."""
+    return mx.COUNTERS.index("packets" + mx.COUNTERS[bits_counter][len("bits"):])
+
+
+# Microsecond times in [0, 10 s), drawn near whole seconds half of the time.
+times_us = st.one_of(
+    st.integers(0, 10 * US - 1),
+    st.integers(0, 9).flatmap(
+        lambda s: st.integers(max(0, s * US - 2), s * US + 2)
+    ),
+)
+
+
 class TestRecord:
     def test_amount_lands_in_floor_bucket(self):
-        series = MetricsSeries(horizon_s=300)
-        series.record(0.5, (3,), mx.BITS_SENT, 2000)
+        series = MetricsSeries(horizon_us=300 * US)
+        series.record(500_000, (3,), mx.BITS_SENT, 2000)
         assert series.buckets[0][3][mx.BITS_SENT] == 2000
+        assert series.buckets[0][3][mx.PACKETS_SENT] == 1
+
+    def test_second_edges(self):
+        series = MetricsSeries(horizon_us=300 * US)
+        series.record(US - 1, (3,), mx.BITS_SENT, 10)
+        series.record(US, (3,), mx.BITS_SENT, 20)
+        assert series.buckets[0][3][mx.BITS_SENT] == 10
+        assert series.buckets[1][3][mx.BITS_SENT] == 20
 
     def test_same_bucket_is_additive(self):
-        series = MetricsSeries(horizon_s=300)
-        series.record(1.2, (3,), mx.BITS_SENT, 100)
-        series.record(1.9, (3,), mx.BITS_SENT, 50)
+        series = MetricsSeries(horizon_us=300 * US)
+        series.record(1_200_000, (3,), mx.BITS_SENT, 100)
+        series.record(1_900_000, (3,), mx.BITS_SENT, 50)
         assert series.buckets[1][3][mx.BITS_SENT] == 150
+        assert series.buckets[1][3][mx.PACKETS_SENT] == 2
 
     def test_beyond_duration_rejected(self):
-        series = MetricsSeries(horizon_s=300)
-        with pytest.raises(AccountingError):
-            series.record(300.0, (0,), mx.BITS_SENT, 1)
+        series = MetricsSeries(horizon_us=300 * US)
+        series.record(300 * US - 1, (0,), mx.BITS_SENT, 1)
+        with pytest.raises(AccountingError, match="outside horizon"):
+            series.record(300 * US, (0,), mx.BITS_SENT, 1)
 
     def test_negative_amount_fatal(self):
-        series = MetricsSeries(horizon_s=300)
+        series = MetricsSeries(horizon_us=300 * US)
         with pytest.raises(AccountingError):
-            series.record(1.0, (0,), mx.BITS_SENT, -5)
+            series.record(US, (0,), mx.BITS_SENT, -5)
 
     def test_negative_time_rejected(self):
-        series = MetricsSeries(horizon_s=300)
+        series = MetricsSeries(horizon_us=300 * US)
         with pytest.raises(AccountingError):
-            series.record(-0.1, (0,), mx.BITS_SENT, 1)
+            series.record(-1, (0,), mx.BITS_SENT, 1)
 
     def test_batch_adds_to_every_node(self):
-        series = MetricsSeries(horizon_s=10)
-        series.record(2.5, (4, 1, 7), mx.BITS_RECEIVED_DUP, 300)
-        series.record(2.7, [1], mx.BITS_RECEIVED_DUP, 5)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(2_500_000, (4, 1, 7), mx.BITS_RECEIVED_DUP, 300)
+        series.record(2_700_000, [1], mx.BITS_RECEIVED_DUP, 5)
 
-        def row(value):
+        def row(bits, packets):
             cell = [0] * len(mx.COUNTERS)
-            cell[mx.BITS_RECEIVED_DUP] = value
+            cell[mx.BITS_RECEIVED_DUP] = bits
+            cell[mx.PACKETS_RECEIVED_DUP] = packets
             return cell
 
-        assert series.buckets == {2: {4: row(300), 1: row(305), 7: row(300)}}
+        assert series.buckets == {
+            2: {4: row(300, 1), 1: row(305, 2), 7: row(300, 1)}
+        }
 
     def test_empty_batch_leaves_buckets_unchanged(self):
-        series = MetricsSeries(horizon_s=10)
-        series.record(3.0, (), mx.BITS_SENT, 10)
-        series.record(4.0, [], mx.PACKETS_SENT, 1)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(3 * US, (), mx.BITS_SENT, 10)
+        series.record(4 * US, [], mx.BITS_RELAYED, 1)
         assert series.buckets == {}
 
     def test_empty_batch_is_still_checked(self):
-        series = MetricsSeries(horizon_s=10)
+        series = MetricsSeries(horizon_us=10 * US)
         with pytest.raises(AccountingError, match="negative amount"):
-            series.record(1.0, (), mx.BITS_SENT, -1)
+            series.record(US, (), mx.BITS_SENT, -1)
         with pytest.raises(AccountingError, match="outside horizon"):
-            series.record(10.0, (), mx.BITS_SENT, 1)
+            series.record(10 * US, (), mx.BITS_SENT, 1)
 
     @given(
         st.lists(
             st.tuples(
-                st.floats(min_value=0.0, max_value=9.999),
+                times_us,
                 st.lists(st.integers(0, 6), max_size=5),
-                st.sampled_from([mx.BITS_SENT, mx.PACKETS_SENT, mx.BITS_LOST]),
+                st.sampled_from(BITS_COUNTERS),
                 st.integers(0, 10**6),
             ),
             max_size=30,
         )
     )
     def test_batch_equals_one_call_per_cell(self, writes):
-        batched = MetricsSeries(horizon_s=10)
-        single = MetricsSeries(horizon_s=10)
-        for t, nodes, counter, amount in writes:
-            batched.record(t, nodes, counter, amount)
+        batched = MetricsSeries(horizon_us=10 * US)
+        single = MetricsSeries(horizon_us=10 * US)
+        expected = {}  # (second, node) -> the cell's row, built by hand
+        for now_us, nodes, bits_counter, wire_bits in writes:
+            batched.record(now_us, nodes, bits_counter, wire_bits)
             for node in nodes:
-                single.record(t, (node,), counter, amount)
+                single.record(now_us, (node,), bits_counter, wire_bits)
+                row = expected.setdefault(
+                    (now_us // US, node), [0] * len(mx.COUNTERS)
+                )
+                row[bits_counter] += wire_bits
+                row[packets_of(bits_counter)] += 1
         assert batched.buckets == single.buckets
+        # Each packets column is its class's number of writes to the cell.
+        assert {
+            (second, node): row
+            for second, per_node in batched.buckets.items()
+            for node, row in per_node.items()
+        } == expected
 
         brute = [0] * len(mx.COUNTERS)
         for per_node in batched.buckets.values():
@@ -98,19 +147,19 @@ class TestRecord:
 
 class TestCounterTotal:
     def test_every_counter_from_one_call(self):
-        series = MetricsSeries(horizon_s=10)
-        series.record(0.0, (0,), mx.BITS_SENT, 2000)
-        series.record(1.5, (1, 2), mx.BITS_RECEIVED_FIRST, 2000)
-        series.record(1.5, (1, 2), mx.PACKETS_RECEIVED_FIRST, 1)
-        series.record(7.0, (0,), mx.BITS_SENT, 900)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(0, (0,), mx.BITS_SENT, 2000)
+        series.record(1_500_000, (1, 2), mx.BITS_RECEIVED_FIRST, 2000)
+        series.record(7 * US, (0,), mx.BITS_SENT, 900)
         expected = [0] * len(mx.COUNTERS)
         expected[mx.BITS_SENT] = 2900
+        expected[mx.PACKETS_SENT] = 2
         expected[mx.BITS_RECEIVED_FIRST] = 4000
         expected[mx.PACKETS_RECEIVED_FIRST] = 2
         assert series.counter_total() == expected
 
     def test_empty_series_has_no_totals(self):
-        totals = MetricsSeries(horizon_s=10).counter_total()
+        totals = MetricsSeries(horizon_us=10 * US).counter_total()
         assert totals == [0] * len(mx.COUNTERS)
         assert totals[mx.BITS_LOST] == 0
 
@@ -141,27 +190,30 @@ class TestCounters:
 class TestCsv:
     def test_empty_series_exports_header_only(self, tmp_path):
         path = tmp_path / "series.csv"
-        export_csv(MetricsSeries(horizon_s=10), path)
+        export_csv(MetricsSeries(horizon_us=10 * US), path)
         assert path.read_text() == "t,node_id,counter,value\n"
 
     def test_single_record_two_lines(self, tmp_path):
-        series = MetricsSeries(horizon_s=10)
-        series.record(0.5, (2,), mx.BITS_SENT, 2000)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(500_000, (2,), mx.BITS_SENT, 2000)
         path = tmp_path / "series.csv"
         export_csv(series, path)
-        assert path.read_text() == "t,node_id,counter,value\n0,2,bits_sent,2000\n"
+        assert path.read_text() == (
+            "t,node_id,counter,value\n0,2,bits_sent,2000\n0,2,packets_sent,1\n"
+        )
 
     def test_rows_sorted_and_zero_buckets_omitted(self, tmp_path):
-        series = MetricsSeries(horizon_s=10)
-        series.record(5.0, (9,), mx.BITS_RELAYED, 10)
-        series.record(2.0, (1,), mx.BITS_SENT, 7)
-        series.record(2.0, (1,), mx.PACKETS_SENT, 0)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(5 * US, (9,), mx.BITS_RELAYED, 10)
+        series.record(2 * US, (1,), mx.BITS_SENT, 0)
         path = tmp_path / "series.csv"
         export_csv(series, path)
         lines = path.read_text().splitlines()
-        assert lines[1] == "2,1,bits_sent,7"
-        assert lines[2] == "5,9,bits_relayed,10"
-        assert len(lines) == 3
+        assert lines[1:] == [
+            "2,1,packets_sent,1",
+            "5,9,bits_relayed,10",
+            "5,9,packets_relayed,1",
+        ]
 
     def test_fig3_export_is_replayable_byte_for_byte(self, tmp_path):
         cfg = SimConfig(fixture="fig3", sim_duration_s=40)
@@ -187,23 +239,23 @@ class TestCsv:
 
 class TestSummary:
     def test_totals_match_counters(self):
-        series = MetricsSeries(horizon_s=10)
-        series.record(0.0, (0,), mx.BITS_SENT, 2000)
-        series.record(0.1, (1,), mx.BITS_RECEIVED_FIRST, 2000)
-        series.record(0.1, (1,), mx.PACKETS_RECEIVED_FIRST, 1)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(0, (0,), mx.BITS_SENT, 2000)
+        series.record(100_000, (1,), mx.BITS_RECEIVED_FIRST, 2000)
         summary = summarize(series)
         assert summary["total_bits_sent"] == 2000
+        assert summary["total_packets_sent"] == 1
         assert summary["total_packets_received_first"] == 1
         assert summary["redundancy_ratio"] == 0.0
 
     def test_redundancy_zero_when_no_receptions(self):
-        assert summarize(MetricsSeries(horizon_s=5))["redundancy_ratio"] == 0.0
+        assert summarize(MetricsSeries(horizon_us=5 * US))["redundancy_ratio"] == 0.0
 
     def test_peak_tracks_emitted_bits(self):
-        series = MetricsSeries(horizon_s=10)
-        series.record(0.0, (0,), mx.BITS_SENT, 2000)
-        series.record(0.2, (0,), mx.BITS_RELAYED, 2200)
-        series.record(3.0, (1,), mx.BITS_RELAYED, 2400)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(0, (0,), mx.BITS_SENT, 2000)
+        series.record(200_000, (0,), mx.BITS_RELAYED, 2200)
+        series.record(3 * US, (1,), mx.BITS_RELAYED, 2400)
         assert series.peak_node_bits_per_second() == 4200
 
     def test_export_sorted_keys_and_formats(self, tmp_path):

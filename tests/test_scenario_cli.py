@@ -246,6 +246,18 @@ class TestCmdRun:
         text = (out / "topology.txt").read_text()
         assert text.startswith("n 3 range 100.0")
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exit_2(self, tmp_path, monkeypatch, capsys, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        scn = write_scenario(tmp_path, "fixture = path:3\nsim_duration_s = 10\n")
+        out = tmp_path / "out"
+        assert main(["run", scn, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_run_consecutive_seeds(self, tmp_path):
         # Uniform placement, so each seed places the nodes differently.
         scn = write_scenario(
