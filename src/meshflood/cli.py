@@ -13,14 +13,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .engine import MODE_BLIND, MODE_RELAY, SimConfig, run, scenario_topology
+from .engine import (
+    INFLIGHT_DELIVER,
+    INFLIGHT_DROP,
+    MODE_BLIND,
+    MODE_RELAY,
+    SimConfig,
+    run,
+    scenario_topology,
+)
 from .errors import AccountingError, ConfigError, MeshFloodError, SizeLimitError
 from .metrics import compare, export_csv, export_summary, format_value, summarize
 from .relays import (
+    BRUTE_FORCE_MAX_NODES,
     brute_force_min_relays,
     coverage_check,
     dump_relays,
@@ -61,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dump-relays", action="store_true")
     run_p.add_argument("--dump-topology", action="store_true")
     run_p.add_argument("--rule2", choices=["on", "off"])
-    run_p.add_argument("--inflight", choices=["deliver", "drop"])
+    run_p.add_argument("--inflight", choices=[INFLIGHT_DELIVER, INFLIGHT_DROP])
     run_p.add_argument(
         "--jobs",
         type=int,
@@ -74,11 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--seed", type=int)
     cmp_p.add_argument("--out", default="out")
     cmp_p.add_argument("--rule2", choices=["on", "off"])
-    cmp_p.add_argument("--inflight", choices=["deliver", "drop"])
+    cmp_p.add_argument("--inflight", choices=[INFLIGHT_DELIVER, INFLIGHT_DROP])
 
     orc_p = sub.add_parser("oracle", help="heuristic vs exact minimum relay set")
     orc_p.add_argument("scenario")
-    orc_p.add_argument("--max-n", type=int, default=12)
+    orc_p.add_argument("--max-n", type=int, default=BRUTE_FORCE_MAX_NODES)
     return parser
 
 
@@ -150,7 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
     # Workers' own stderr would interleave in finishing order; print each
     # member's lines here instead, in seed order.
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
         for lines in pool.map(_run_one_star, jobs):
             _print_warnings(lines)
     return EXIT_OK

@@ -58,6 +58,7 @@ from .protocol import (
 from .protocol import blind_flood_on_receive, on_receive  # noqa: F401
 from .relays import RELAY_ORDERS, RelayAssignment, cardinality_report, select_relays
 from .topology import (
+    DEFAULT_AREA_SIDE,
     MobilityStep,
     Placement,
     Topology,
@@ -116,7 +117,7 @@ class SimConfig:
 
     node_count: int = 25
     placement: str = Placement.GRID.value
-    area_side: float = 500.0
+    area_side: float = DEFAULT_AREA_SIDE
     radio_range: float = 120.0
     channel_bps: int = 11_000_000
     tx_power_mw: float = 5.0  # recorded in output metadata only

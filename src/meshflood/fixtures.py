@@ -12,6 +12,7 @@ import math
 
 from .errors import ConfigError
 from .topology import (
+    DEFAULT_AREA_SIDE,
     Node,
     Placement,
     Role,
@@ -78,7 +79,7 @@ def path_topology(n: int, spacing: float = 100.0) -> Topology:
     return build_topology(nodes, spacing)
 
 
-def grid_topology(n: int, area_side: float = 500.0) -> Topology:
+def grid_topology(n: int, area_side: float = DEFAULT_AREA_SIDE) -> Topology:
     """Grid placement with radio range equal to the lattice spacing, giving
     the 4-neighbor grid graph."""
     nodes = place_nodes(n, Placement.GRID, area_side)
@@ -122,7 +123,9 @@ def fixture_by_name(name: str) -> Topology:
     raise ConfigError(f"unknown fixture {name!r}")
 
 
-def density_radio_range(n: int, area_side: float = 500.0, avg_degree: float = 12.0):
+def density_radio_range(
+    n: int, area_side: float = DEFAULT_AREA_SIDE, avg_degree: float = 12.0
+):
     """Radio range giving roughly `avg_degree` neighbors per node."""
     return math.sqrt(avg_degree * area_side * area_side / (math.pi * n))
 
@@ -131,7 +134,7 @@ def random_disk_topology(
     n: int,
     seed: int,
     radio_range: float | None = None,
-    area_side: float = 500.0,
+    area_side: float = DEFAULT_AREA_SIDE,
 ) -> Topology:
     """Uniform random placement under the disk rule; range defaults to the
     fixed-density value for n."""
@@ -145,7 +148,7 @@ def random_connected_topology(
     n: int,
     seed: int,
     radio_range: float | None = None,
-    area_side: float = 500.0,
+    area_side: float = DEFAULT_AREA_SIDE,
     max_tries: int = 200,
 ) -> Topology:
     """First connected random disk topology derived from `seed`.

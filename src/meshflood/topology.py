@@ -5,17 +5,13 @@ Euclidean distance is at most the radio range. All operations are pure
 functions of their inputs (plus an explicit seed where randomness is
 involved), so identical calls always return identical results.
 
-The disk adjacency is built on a uniform grid of square cells whose side is
-the radio range, so each node is tested only against the nodes of the 3x3
-block of cells around its own: O(n * degree) work per topology instead of
-O(n^2). `build_topology` runs it at set-up; a snapshot made by a mobility
+The disk adjacency is built on cells of sorted coordinate bands (see
+`_bands`), so each node is tested only against the nodes of the 3x3 block of
+cells around its own: O(n * degree) work instead of O(n^2), linking exactly
+the pairs of the all-pairs `math.dist(...) <= radio_range` test.
+`build_topology` runs it at set-up; a snapshot made by a mobility
 reconfiguration runs it on the first read of its `adjacency`, so a snapshot
-that neither traffic nor relay selection reads is never built. A node lying
-within float-rounding distance of a cell edge also searches the cell beyond
-that edge (see `_cell_span`), so the grid links exactly the pairs the
-all-pairs `math.dist(...) <= radio_range` test would. Inputs the
-grid cannot index exactly (a tiny or non-finite range, or a coordinate that
-is non-finite or 2**50 ranges out) put every node in one cell instead.
+that neither traffic nor relay selection reads is never built.
 """
 
 from __future__ import annotations
@@ -138,63 +134,50 @@ def grid_spacing(count: int, area_side: float = DEFAULT_AREA_SIDE) -> float:
     return area_side / (side - 1) if side > 1 else 0.0
 
 
-# A pair passes `math.dist(p, q) <= radio_range` only if each coordinate
-# differs by less than radio_range * (1 + 2**-50): the float subtraction and
-# the norm each err by under one ulp. `divmod` gives the exact floor of
-# coord / range as the cell while |coord| / range < 2**51, and the offset
-# within the cell to half an ulp of the range, so a linked pair sits in the
-# same or adjacent cells, except when its gap just spans a whole cell, e.g.
-# x = 1 - 2**-53 and x = 2.0 at range 1.0 link across cells 0 and 2. Then
-# both nodes lie within that rounding slack of the facing cell edges, so a
-# node this close to an edge also searches the cell beyond it.
-_EDGE_SLACK = 2.0**-40
+def _bands(nodes: dict[int, Node], axis: int, radio_range: float) -> dict[int, int]:
+    """Each node's band along one axis, numbered in coordinate order.
 
-# The argument above needs exact cells and no underflow: a finite range of
-# at least _MIN_GRID_RANGE and every coordinate under _MAX_GRID_CELLS ranges
-# from the origin. Otherwise (a tiny, infinite or NaN range, or a huge or
-# non-finite coordinate) every node goes into _ONE_CELL, which makes the
-# build the all-pairs test.
-_MIN_GRID_RANGE = 2.0**-960
-_MAX_GRID_CELLS = 2.0**50
-_ONE_CELL = (0, range(1))
+    In coordinate order, a new band starts at the first coordinate `c` more
+    than `radio_range` past the current band's start (`c - start >
+    radio_range`). Nodes whose bands differ by two or more never link:
 
+    1. Float subtraction is monotone. If u lies in band a and v in band a+2
+       or later, then x_u <= s(a+1) and x_v >= s(a+2), where s(k) is where
+       band k starts, so fl(x_v - x_u) >= fl(s(a+2) - s(a+1)) > radio_range.
+    2. `math.dist` is never below the larger coordinate difference: since
+       Python 3.10 it is within one rounding of the exact norm, which is at
+       least that difference, itself a float.
 
-def _grid_is_exact(nodes: dict[int, Node], radio_range: float) -> bool:
-    if not _MIN_GRID_RANGE <= radio_range < math.inf:
-        return False
-    limit = radio_range * _MAX_GRID_CELLS
-    return all(abs(c) < limit for node in nodes.values() for c in node.pos)
-
-
-def _cell_span(coord: float, radio_range: float) -> tuple[int, range]:
-    """The cell index of one coordinate and the cell indices to search."""
-    cell, offset = divmod(coord, radio_range)
-    slack = radio_range * _EDGE_SLACK
-    low = int(cell) - 1 - (offset <= slack)
-    high = int(cell) + 1 + (offset >= radio_range - slack)
-    return int(cell), range(low, high + 1)
+    So no rounding slack and no bound on the range or the coordinates is
+    needed. A NaN or infinite range makes no `>` true: one band, the
+    all-pairs test. A NaN coordinate, which would break the sort, is walked
+    as +inf: its node links under no finite range, so its band is moot.
+    """
+    coords = ((node.pos[axis], u) for u, node in nodes.items())
+    walk = sorted((c if c == c else math.inf, u) for c, u in coords)
+    bands: dict[int, int] = {}
+    band, start = 0, -math.inf  # band 0 starts below every coordinate
+    for c, u in walk:
+        if c - start > radio_range:
+            band, start = band + 1, c
+        bands[u] = band
+    return bands
 
 
 def _disk_adjacency(
     nodes: dict[int, Node], radio_range: float
 ) -> dict[int, frozenset[int]]:
     ids = sorted(nodes)
-    exact = _grid_is_exact(nodes, radio_range)
+    xs = _bands(nodes, 0, radio_range)
+    ys = _bands(nodes, 1, radio_range)
     cells: dict[tuple[int, int], list[int]] = {}
-    search: dict[int, tuple[range, range]] = {}
     for u in ids:
-        if exact:
-            (cx, xs), (cy, ys) = (_cell_span(c, radio_range) for c in nodes[u].pos)
-        else:
-            (cx, xs), (cy, ys) = _ONE_CELL, _ONE_CELL
-        cells.setdefault((cx, cy), []).append(u)
-        search[u] = (xs, ys)
+        cells.setdefault((xs[u], ys[u]), []).append(u)
     links: dict[int, set[int]] = {i: set() for i in ids}
     for u in ids:
-        pos = nodes[u].pos
-        xs, ys = search[u]
-        for i in xs:
-            for j in ys:
+        pos, bx, by = nodes[u].pos, xs[u], ys[u]
+        for i in (bx - 1, bx, bx + 1):
+            for j in (by - 1, by, by + 1):
                 for v in cells.get((i, j), ()):
                     # Two nodes that can link search each other's cells,
                     # so testing v > u only tests each pair once.

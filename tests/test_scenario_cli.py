@@ -258,6 +258,32 @@ class TestCmdRun:
         assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cores, workers", [(2, 2), (None, 1), (8, 3)])
+    def test_jobs_capped_at_host_cores(self, tmp_path, monkeypatch, cores, workers):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        scn = write_scenario(tmp_path, "fixture = path:3\nsim_duration_s = 10\n")
+        out = tmp_path / "batch"
+        argv = ["run", scn, "--seed", "0", "--out", str(out), "--jobs", "3"]
+        assert main(argv) == EXIT_OK
+        assert started == [workers]
+        assert sorted(p.name for p in out.iterdir()) == ["seed-0", "seed-1", "seed-2"]
+
     def test_jobs_run_consecutive_seeds(self, tmp_path):
         # Uniform placement, so each seed places the nodes differently.
         scn = write_scenario(

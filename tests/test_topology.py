@@ -240,7 +240,7 @@ class TestTopologyFile:
 
 
 def all_pairs_adjacency(nodes, radio_range):
-    """The all-pairs disk rule: the reference the grid-bucketed build must match."""
+    """The all-pairs disk rule: the reference the banded build must match."""
     ids = sorted(nodes)
     links = {i: set() for i in ids}
     for idx, u in enumerate(ids):
@@ -267,12 +267,24 @@ def nudged(value, steps):
     return value
 
 
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        lambda k, steps, sign: sign * nudged(2.0**k, steps),
+        st.integers(min_value=-1074, max_value=1023),
+        st.integers(min_value=-1, max_value=1),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+FINITE_POINTS = st.tuples(FINITE_FLOATS, FINITE_FLOATS)
+
+
 @st.composite
 def placements(draw):
     """(nodes, radio range) mixing the hard cases: random coordinates,
     coincident nodes, collinear nodes, and coordinates at or within a float
     of integer multiples of the range, where links sit exactly at the range
-    and nodes on cell edges."""
+    and bands start exactly one range apart."""
     radio_range = draw(RANGES)
     random_coord = st.floats(min_value=-500.0, max_value=500.0)
     on_multiple = st.builds(
@@ -301,8 +313,8 @@ class TestGridAdjacency:
         assert t.adjacency == all_pairs_adjacency(t.nodes, radio_range)
 
     def test_link_two_cells_apart(self):
-        # 2.0 - (1 - 2**-53) rounds to 1.0, so the nodes link although their
-        # cells are 0 and 2.
+        # 2.0 - (1 - 2**-53) rounds to 1.0, so the nodes link although they
+        # are more than the range apart.
         nodes = [
             Node(0, Role.SOURCE, (1 - 2**-53, 0.0)),
             Node(1, Role.CLIENT, (2.0, 0.0)),
@@ -311,8 +323,31 @@ class TestGridAdjacency:
         assert all_pairs_adjacency(t.nodes, 1.0)[0] == {1}
         assert t.adjacency[0] == {1}
 
+    def test_link_across_band_start(self):
+        # The band starting at 0 holds 1 - 2**-53 and 1, and 2.0 starts the
+        # next, so the linked pair (1 - 2**-53, 2.0) sits in adjacent bands.
+        # Starting a band at exactly the range past 0 would put that pair two
+        # bands apart and miss the link.
+        xs = [0.0, 1 - 2**-53, 1.0, 2.0]
+        nodes = [
+            Node(i, Role.SOURCE if i == 0 else Role.CLIENT, (x, 0.0))
+            for i, x in enumerate(xs)
+        ]
+        t = build_topology(nodes, 1.0)
+        expected = {0: {1, 2}, 1: {0, 2, 3}, 2: {0, 1, 3}, 3: {1, 2}}
+        assert all_pairs_adjacency(t.nodes, 1.0) == expected
+        assert t.adjacency == expected
+
+    # Why bands two apart never link: `math.dist` is never below the larger
+    # coordinate difference, checked here on subnormals and on powers of two
+    # and their neighbouring floats.
+    @settings(max_examples=1000, deadline=None)
+    @given(FINITE_POINTS, FINITE_POINTS)
+    def test_dist_at_least_larger_coordinate_difference(self, p, q):
+        assert math.dist(p, q) >= max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
     # Each range against finite, tiny and non-finite coordinates: inputs
-    # where cell indices would overflow or lose exactness.
+    # that underflow, overflow or are not numbers.
     @pytest.mark.parametrize(
         "coords",
         [
