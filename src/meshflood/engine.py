@@ -7,15 +7,25 @@ the duplicate-cache sweep before traffic at the same instant:
 
     TOPO_RECONFIGURE < TOPO_CONTROL < EMIT_FROM_SOURCE < RELAY_EMIT < RECEIVE
 
-One broadcast hop is one RELAY_EMIT: a RECEIVE pushes at most one, with its
-emitter as subject and its relaying nodes as data. Same-instant rule: the
-RELAY_EMITs due at one instant come from RECEIVEs of one instant, so they pop
-in those RECEIVEs' (emitter, insertion) order, and each node emits, and
-pushes the RECEIVEs it causes, in the order one event per node would give.
-Same-instant order matters only within one packet key: events of different
-keys touch disjoint cache entries and key sets and add to commutative
-counters, so any order across keys that keeps each key's own order gives the
-same outputs.
+One RECEIVE serves a wave: every copy of one packet key that arrives at one
+instant. A broadcast appends `(emitter, packet, receivers, topology)` to the
+wave keyed by `(arrival, origin, seq)`, and the wave's first append pushes
+its RECEIVE, whose data is that key. The RECEIVE sorts the wave stably by
+emitter and takes each copy in turn, then writes each outcome once per
+distinct packet copy and pushes at most one RELAY_EMIT, carrying one
+`(packet, relaying nodes)` entry per distinct copy that has relays.
+
+Why this is exact. A wave is complete before its RECEIVE pops: a copy
+arriving at t is sent at or before t, and the emissions of instant t (source
+emissions and RELAY_EMITs) rank before its RECEIVEs; every RELAY_EMIT at t
+comes from a wave at t - hold with hold >= 1 us, so it is queued before any
+RECEIVE at t pops. Within one key, the stable sort gives the copies the
+(emitter, insertion) order that one RECEIVE per copy would pop in, and a
+node first-receives a key at most once per wave, so the wave's relays each
+emit once and the RECEIVEs they cause keep that order too. Same-instant
+order matters only within one packet key: events of different keys touch
+disjoint cache entries and key sets and add to commutative counters, so any
+order across keys that keeps each key's own order gives the same outputs.
 
 The source emits on its interval for the configured duration; after the last
 scheduled second the loop keeps draining in-flight receptions and held
@@ -40,6 +50,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import metrics as mx
@@ -239,9 +250,9 @@ class _Run:
         self.cover_topo = topo
         self.relay_recomputes = 1
         self.hold_us = _us(cfg.hold_time_s)
-        self.cache = DuplicateCache(
-            _us(cfg.duplicate_ttl_s), {u: {} for u in topo.node_ids()}
-        )
+        self.cache = DuplicateCache(_us(cfg.duplicate_ttl_s))
+        # (arrival, origin, seq) -> [(emitter, pkt, receivers, topo), ...]
+        self.waves: dict[tuple[int, int, int], list] = {}
         area_side = max(
             cfg.area_side,
             max((max(n.pos[0], n.pos[1]) for n in topo.nodes.values()), default=0.0),
@@ -309,8 +320,12 @@ class _Run:
         self.expected_bits += wire * len(receivers)
         self.expected_packets += len(receivers)
         if receivers:
-            data = (pkt, receivers, self.topo)
-            self.queue.push(Event(arrival, EventKind.RECEIVE, emitter, data))
+            key = (arrival, pkt.origin, pkt.seq)
+            wave = self.waves.get(key)
+            if wave is None:
+                wave = self.waves[key] = []
+                self.queue.push(Event(arrival, EventKind.RECEIVE, emitter, key))
+            wave.append((emitter, pkt, receivers, self.topo))
 
     # -- event handlers ---------------------------------------------------
 
@@ -331,17 +346,11 @@ class _Run:
         self._broadcast(self.source, pkt, ev.time_us)
 
     def handle_receive(self, ev: Event) -> None:
-        pkt, receivers, emit_topo = ev.data
-        emitter = ev.subject
+        wave = self.waves.pop(ev.data)
+        wave.sort(key=itemgetter(0))  # stable: (emitter, insertion) order
         cfg = self.cfg
         now = ev.time_us
-        wire = pkt.wire_size_bits
-        lost = []
-        if cfg.inflight == INFLIGHT_DROP and emit_topo.epoch != self.topo.epoch:
-            adjacency = self.topo.adjacency
-            lost = [v for v in receivers if emitter not in adjacency[v]]
-            if lost:
-                receivers = [v for v in receivers if emitter in adjacency[v]]
+        drop = cfg.inflight == INFLIGHT_DROP
         if cfg.mode == MODE_BLIND:
             relays = None
         else:
@@ -350,37 +359,58 @@ class _Run:
                 relays = self.assignment = select_relays(
                     self.cover_topo, cfg.relay_order
                 )
-        heard = emit_topo.adjacency
-        dups, firsts, relaying = receive(
-            self.cache, pkt, emitter, receivers, heard, now, relays, cfg.rule2
-        )
-        key = pkt.key
-        for v in firsts:
-            self.delivered_keys[v].add(key)
-        if relaying:
+        # Per distinct copy: [lost, duplicates, first receptions, relaying].
+        outcomes: dict[Packet, list[list[int]]] = {}
+        for emitter, pkt, receivers, emit_topo in wave:
+            group = outcomes.get(pkt)
+            if group is None:
+                group = outcomes[pkt] = [[], [], [], []]
+            if drop and emit_topo.epoch != self.topo.epoch:
+                adjacency = self.topo.adjacency
+                lost = [v for v in receivers if emitter not in adjacency[v]]
+                if lost:
+                    group[0] += lost
+                    receivers = [v for v in receivers if emitter in adjacency[v]]
+            heard = emit_topo.adjacency
+            dups, firsts, relaying = receive(
+                self.cache, pkt, emitter, receivers, heard, now, relays, cfg.rule2
+            )
+            group[1] += dups
+            group[2] += firsts
+            group[3] += relaying
+        key = wave[0][1].key
+        emits = []
+        for pkt, (lost, dups, firsts, relaying) in outcomes.items():
+            for v in firsts:
+                self.delivered_keys[v].add(key)
+            # `receive` wrote seen[key] = now at each first reception: a
+            # fresh entry.
+            self.cache_evictions += len(firsts)
+            wire = pkt.wire_size_bits
+            self.series.record(now, lost, mx.BITS_LOST, wire)
+            self.series.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
+            self.series.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
+            if relaying:
+                emits.append((pkt, relaying))
+        if emits:
             due = now + self.hold_us
-            self.queue.push(Event(due, EventKind.RELAY_EMIT, emitter, (pkt, relaying)))
-        # `receive` wrote seen[key] = now at each first reception: a fresh entry.
-        self.cache_evictions += len(firsts)
-        self.series.record(now, lost, mx.BITS_LOST, wire)
-        self.series.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
-        self.series.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
+            self.queue.push(Event(due, EventKind.RELAY_EMIT, wave[0][0], tuple(emits)))
 
     def handle_relay_emit(self, ev: Event) -> None:
-        pkt, nodes = ev.data
         now = ev.time_us
         if now >= self.cutoff_us:
-            self.relays_truncated += len(nodes)
+            self.relays_truncated += sum(len(nodes) for _, nodes in ev.data)
             return
-        out = release_hold(pkt, self.cfg.header_bits_per_relay)
-        self.series.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
-        key = out.key
-        for node in nodes:
-            relayed = self.relayed_keys[node]
-            if key in relayed:
-                self.relay_loop_violations += 1
-            relayed.add(key)
-            self._broadcast(node, out, now)
+        for pkt, nodes in ev.data:
+            out = release_hold(pkt, self.cfg.header_bits_per_relay)
+            self.series.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
+            key = out.key
+            for node in nodes:
+                relayed = self.relayed_keys[node]
+                if key in relayed:
+                    self.relay_loop_violations += 1
+                relayed.add(key)
+                self._broadcast(node, out, now)
 
     def handle_topo_control(self, ev: Event) -> None:
         if self.cover_topo.epoch != self.topo.epoch:

@@ -103,13 +103,15 @@ def export_csv(series: MetricsSeries, path) -> None:
     Zero-valued cells are omitted; byte output is a pure function of the
     series content.
     """
+    names = [f",{name}," for name in COUNTERS]
     lines = [CSV_HEADER]
     for t in sorted(series.buckets):
         per_node = series.buckets[t]
         for node in sorted(per_node):
-            for name, value in zip(COUNTERS, per_node[node]):
-                if value != 0:
-                    lines.append(f"{t},{node},{name},{value}")
+            cell = f"{t},{node}"
+            for name, value in zip(names, per_node[node]):
+                if value:
+                    lines.append(f"{cell}{name}{value}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

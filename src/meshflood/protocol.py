@@ -14,22 +14,24 @@ header grown by one relay-header increment. A packet does not name its
 emitter: the engine passes the emitter beside it. Blind flooding shares the
 duplicate cache but retransmits every first-seen packet at every node.
 
-The engine applies both rules with `receive`, once per broadcast over all
-of its receivers. `on_receive` and `blind_flood_on_receive` decide a single
-reception; they are the reference the batch form is tested against.
+The engine applies both rules with `receive`, once per broadcast copy over
+all of its receivers. `on_receive` and `blind_flood_on_receive` decide a
+single reception; they are the reference the batch form is tested against.
 
 One `DuplicateCache` holds every node's first-seen times under the run's one
-TTL. Entries age lazily: `admit` treats an entry older than the TTL as absent
-and overwrites it, and the engine sweeps every node's aged entries out with
-one `expire_caches` call at each topology-control tick to keep the cache
-bounded.
+TTL, key-major: `seen[(origin, seq)][node]`. A broadcast copy reads one key's
+dict once for all of its receivers, and each key tuple is stored once, not
+once per node. Entries age lazily: `admit` and `receive` treat an entry older
+than the TTL as absent and overwrite it, and the engine sweeps the aged
+entries out with one `expire_caches` call at each topology-control tick to
+keep the cache bounded; a key whose entries have all aged goes whole.
 
 All time arguments are integer microseconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ProtocolViolationError
@@ -65,12 +67,12 @@ class Packet:
 class DuplicateCache:
     """Every node's duplicate cache, owned by the engine's event loop.
 
-    `seen[node]` maps each (origin, seq) key the node holds to the time it
-    was first seen; all nodes share the one TTL.
+    `seen[(origin, seq)]` maps each node that holds the key to the time it
+    first saw it; all nodes share the one TTL. A key with no node is absent.
     """
 
     ttl_us: int
-    seen: dict[int, dict[tuple[int, int], int]]
+    seen: dict[tuple[int, int], dict[int, int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,11 @@ def admit(
     An entry older than the TTL counts as absent and is overwritten; one aged
     exactly the TTL still marks a duplicate. Returns whether `key` was cached.
     """
-    seen = cache.seen[node]
-    first_seen = seen.get(key)
+    seen = cache.seen.setdefault(key, {})
+    first_seen = seen.get(node)
     if first_seen is not None and now_us - first_seen <= cache.ttl_us:
         return False
-    seen[key] = now_us
+    seen[node] = now_us
     return True
 
 
@@ -168,7 +170,8 @@ def receive(
     relays: RelayAssignment | None = None,
     rule2: bool = True,
 ) -> tuple[list[int], list[int], list[int]]:
-    """One broadcast by `emitter`: (duplicates, first receptions, relaying).
+    """One broadcast copy by `emitter`: (duplicates, first receptions,
+    relaying).
 
     Each list keeps receiver order, and relaying is a subset of the first
     receptions. `adjacency` is the emitter's topology; a receiver outside
@@ -179,7 +182,14 @@ def receive(
     packet's origin. Equivalent to
     `on_receive` (or `blind_flood_on_receive`) once per receiver.
     """
+    # `admit`'s rule, inlined over the key's one dict.
     key = (pkt.origin, pkt.seq)
+    seen = cache.seen.get(key)
+    if seen is None:
+        seen = {}
+        if receivers:
+            cache.seen[key] = seen
+    oldest_fresh = now_us - cache.ttl_us
     from_origin = emitter == pkt.origin
     selectors = None if relays is None else relays.selectors
     dups: list[int] = []
@@ -188,9 +198,11 @@ def receive(
     for v in receivers:
         if emitter not in adjacency[v]:
             raise ProtocolViolationError(f"node {v} heard non-neighbor {emitter}")
-        if not admit(cache, v, key, now_us):
+        first_seen = seen.get(v)
+        if first_seen is not None and first_seen >= oldest_fresh:
             dups.append(v)
             continue
+        seen[v] = now_us
         firsts.append(v)
         if selectors is None or v in selectors and (
             not rule2 or from_origin or emitter in selectors[v]
@@ -214,16 +226,22 @@ def release_hold(pkt: Packet, header_increment: int) -> Packet:
 
 
 def expire_caches(cache: DuplicateCache, now_us: int) -> Eviction:
-    """Drop every node's entries older than the TTL: those `admit` treats as
-    absent. One call sweeps the whole cache.
+    """Drop every entry older than the TTL: those `admit` treats as absent.
+    One call sweeps the whole cache; a key whose entries have all aged is
+    dropped whole. `seen_keys` names the key of each aged entry.
 
     An entry aged exactly the TTL is retained, so a copy arriving at that
     instant is still a duplicate.
     """
+    oldest_fresh = now_us - cache.ttl_us
     aged: list[tuple[int, int]] = []
-    for seen in cache.seen.values():
-        old = [k for k, t0 in seen.items() if now_us - t0 > cache.ttl_us]
-        for k in old:
-            del seen[k]
-        aged += old
+    for key, seen in list(cache.seen.items()):
+        if max(seen.values(), default=oldest_fresh - 1) < oldest_fresh:
+            del cache.seen[key]
+            aged += [key] * len(seen)
+        elif min(seen.values()) < oldest_fresh:
+            old = [v for v, t0 in seen.items() if t0 < oldest_fresh]
+            for v in old:
+                del seen[v]
+            aged += [key] * len(old)
     return Eviction(seen_keys=tuple(aged))

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,40 @@ class Snapshots(_Run):
         super()._broadcast(emitter, pkt, now_us)
 
 
+class PerBroadcastRun(_Run):
+    """Each wave key also carries a per-broadcast counter, so each wave holds
+    one copy: one RECEIVE per broadcast, with the emitter as subject, and
+    one RELAY_EMIT per such RECEIVE. This is the event stream of one RECEIVE
+    per broadcast, the waves' reference."""
+
+    def __init__(self, cfg, topo):
+        super().__init__(cfg, topo)
+        self.broadcasts = itertools.count()
+
+    def _broadcast(self, emitter, pkt, now_us):
+        arrival, receivers = transmit(
+            self.topo, emitter, pkt, now_us, self.cfg.channel_bps
+        )
+        self.expected_bits += pkt.wire_size_bits * len(receivers)
+        self.expected_packets += len(receivers)
+        if receivers:
+            key = (arrival, pkt.origin, pkt.seq, next(self.broadcasts))
+            self.waves[key] = [(emitter, pkt, receivers, self.topo)]
+            self.queue.push(Event(arrival, EventKind.RECEIVE, emitter, key))
+
+
+class DescendingWaves(_Run):
+    """Takes the copies of each wave by descending emitter, one at a time."""
+
+    def handle_receive(self, ev):
+        wave = self.waves.pop(ev.data)
+        wave.sort(key=lambda entry: -entry[0])
+        for i, entry in enumerate(wave):
+            key = ev.data + (i,)
+            self.waves[key] = [entry]
+            super().handle_receive(ev._replace(data=key))
+
+
 class PerNodeRelayQueue(EventQueue):
     """Splits each RELAY_EMIT batch into one event per relaying node, with
     the node as its subject: the reference order of one event per relay."""
@@ -300,9 +335,23 @@ class PerNodeRelayQueue(EventQueue):
         if event.kind is not EventKind.RELAY_EMIT:
             super().push(event)
             return
-        pkt, nodes = event.data
-        for v in nodes:
-            super().push(event._replace(subject=v, data=(pkt, (v,))))
+        for pkt, nodes in event.data:
+            for v in nodes:
+                super().push(event._replace(subject=v, data=((pkt, (v,)),)))
+
+
+class PopLog(EventQueue):
+    """Keeps every event it pops."""
+
+    def __init__(self):
+        super().__init__()
+        self.popped = []
+
+    def pop(self):
+        ev = super().pop()
+        if ev is not None:
+            self.popped.append(ev)
+        return ev
 
 
 class RankedQueue:
@@ -325,10 +374,24 @@ class RankedQueue:
         return heapq.heappop(self.heap)[-1] if self.heap else None
 
 
+def event_key(ev):
+    """The packet key of a RECEIVE or RELAY_EMIT; None for other events."""
+    if ev.kind is EventKind.RECEIVE:
+        return ev.data[1:3]  # the wave key is (arrival, origin, seq, ...)
+    if ev.kind is EventKind.RELAY_EMIT:
+        return ev.data[0][0].key
+    return None
+
+
 def per_key_rank(salt):
     """A salted hash of the event's packet key: any order across keys, the
     real order among one key's events. Packet-less events rank 0."""
-    return lambda ev: hash((ev.data[0].key, salt)) if ev.data else 0
+
+    def rank(ev):
+        key = event_key(ev)
+        return 0 if key is None else hash((key, salt))
+
+    return rank
 
 
 @st.composite
@@ -362,6 +425,17 @@ class TestRun:
             _Run(cfg, topo).execute()
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(scheduled_configs())
+    # Copies of one key meet at one instant here.
+    @example(MOBILE_DROP)
+    def test_waves_match_one_receive_per_broadcast(self, cfg):
+        cfg.validate()
+        topo = scenario_topology(cfg)
+        assert output_bytes(PerBroadcastRun(cfg, topo).execute()) == output_bytes(
+            _Run(cfg, topo).execute()
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(scheduled_configs(), st.integers(0, 2**32))
     # Copies of one key meet at one instant here; see the next test.
@@ -369,28 +443,106 @@ class TestRun:
     def test_same_instant_order_across_keys_leaves_outputs_unchanged(
         self, cfg, salt
     ):
+        # On one RECEIVE per broadcast, where one key has several events at
+        # an instant, and on the waves themselves.
         cfg.validate()
         topo = scenario_topology(cfg)
-        ranked = _Run(cfg, topo)
-        ranked.queue = RankedQueue(per_key_rank(salt))
-        assert output_bytes(ranked.execute()) == output_bytes(
-            _Run(cfg, topo).execute()
-        )
+        expected = output_bytes(_Run(cfg, topo).execute())
+        for ranked in (PerBroadcastRun(cfg, topo), _Run(cfg, topo)):
+            ranked.queue = RankedQueue(per_key_rank(salt))
+            assert output_bytes(ranked.execute()) == expected, type(ranked)
 
     def test_order_within_one_key_matters(self):
         # Copies of one key that arrive at one instant from different
         # emitters depend on their order, so a rank that ignores the key
-        # changes the outputs that the per-key rank leaves unchanged.
+        # changes the outputs that the per-key rank leaves unchanged, and so
+        # does taking a wave's copies by descending emitter.
         cfg = MOBILE_DROP
         topo = scenario_topology(cfg)
         expected = output_bytes(_Run(cfg, topo).execute())
         rng = random.Random(0)
-        key_blind = _Run(cfg, topo)
+        key_blind = PerBroadcastRun(cfg, topo)
         key_blind.queue = RankedQueue(lambda ev: rng.random())
         assert output_bytes(key_blind.execute()) != expected
-        per_key = _Run(cfg, topo)
+        assert output_bytes(DescendingWaves(cfg, topo).execute()) != expected
+        per_key = PerBroadcastRun(cfg, topo)
         per_key.queue = RankedQueue(per_key_rank(0))
         assert output_bytes(per_key.execute()) == expected
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(fixture="grid:25", mode=MODE_BLIND, sim_duration_s=20),
+            SimConfig(fixture="grid:25", mode=MODE_RELAY, sim_duration_s=20),
+            MOBILE_DROP,
+        ],
+        ids=["blind-grid25", "relay-grid25", "mobile-drop"],
+    )
+    def test_one_receive_per_instant_and_key(self, cfg):
+        topo = scenario_topology(cfg)
+        runs = []
+        for r in (_Run(cfg, topo), PerBroadcastRun(cfg, topo)):
+            r.queue = PopLog()
+            r.execute()
+            runs.append(r)
+        waves, per_broadcast = (
+            [
+                (ev.time_us, ev.kind, event_key(ev))
+                for ev in r.queue.popped
+                if ev.kind in (EventKind.RECEIVE, EventKind.RELAY_EMIT)
+            ]
+            for r in runs
+        )
+        assert len(set(waves)) == len(waves)
+        # Not vacuous: one event per broadcast repeats (instant, key) pairs.
+        assert len(set(per_broadcast)) < len(per_broadcast)
+        assert set(per_broadcast) == set(waves)
+
+    def test_a_wave_of_two_copy_sizes_writes_each_size(self):
+        # Node 1 and node 3 of a blind path send copies of one key, of two
+        # header sizes, that arrive at one instant. Node 2 hears both.
+        cfg = SimConfig(fixture="path:5", mode=MODE_BLIND, sim_duration_s=10)
+        topo = scenario_topology(cfg)
+        small = Packet(origin=0, seq=7, header_bits=0)
+        large = Packet(origin=0, seq=7, header_bits=200)
+        key = (1_000, 0, 7)
+        runs = []
+        for _ in range(2):
+            r = _Run(cfg, topo)
+            # Out of emitter order: the wave is sorted before it is taken.
+            r.waves[key] = [(3, large, (2, 4), topo), (1, small, (0, 2), topo)]
+            r.handle_receive(Event(1_000, EventKind.RECEIVE, 3, key))
+            runs.append(r)
+        r = runs[0]
+        cells = r.series.buckets[0]
+        assert cells[0][mx.BITS_RECEIVED_FIRST] == 2000
+        assert cells[2][mx.BITS_RECEIVED_FIRST] == 2000
+        assert cells[2][mx.BITS_RECEIVED_DUP] == 2200
+        assert cells[4][mx.BITS_RECEIVED_FIRST] == 2200
+        for node in (0, 2, 4):
+            row = cells[node]
+            assert row[mx.PACKETS_RECEIVED_FIRST] + row[mx.PACKETS_RECEIVED_DUP] == (
+                2 if node == 2 else 1
+            )
+        relay_emit = r.queue.pop()
+        assert r.queue.pop() is None
+        assert relay_emit.kind is EventKind.RELAY_EMIT
+        assert relay_emit.time_us == 1_000 + r.hold_us
+        assert relay_emit.data == ((small, [0, 2]), (large, [4]))
+        # Each entry leaves with its own header.
+        r.handle_relay_emit(relay_emit)
+        relayed = r.series.buckets[relay_emit.time_us // mx.US]
+        assert {v: relayed[v][mx.BITS_RELAYED] for v in (0, 2, 4)} == {
+            0: 2200,
+            2: 2200,
+            4: 2400,
+        }
+        # Past the cutoff, every node of both entries is truncated.
+        late = runs[1]
+        late.cutoff_us = relay_emit.time_us
+        late.handle_relay_emit(late.queue.pop())
+        assert late.relays_truncated == 3
+        assert late.series.node_totals(mx.BITS_RELAYED) == {}
 
     @settings(max_examples=40, deadline=None)
     @given(mobile_configs())
@@ -538,8 +690,8 @@ class TestRun:
                 self.note_peak()
 
             def note_peak(self):
-                largest = max(len(seen) for seen in self.cache.seen.values())
-                self.peak = max(self.peak, largest)
+                held = Counter(v for seen in self.cache.seen.values() for v in seen)
+                self.peak = max(self.peak, max(held.values(), default=0))
 
         r = PeakCache(cfg, scenario_topology(cfg))
         r.execute()
@@ -580,7 +732,8 @@ class TestRun:
         assert 2 not in topo.adjacency[4]
         r = _Run(cfg, topo)
         pkt = Packet(origin=0, seq=99)
-        r.queue.push(Event(0, EventKind.RECEIVE, 2, data=(pkt, (4,), topo)))
+        r.waves[(0, 0, 99)] = [(2, pkt, (4,), topo)]
+        r.queue.push(Event(0, EventKind.RECEIVE, 2, data=(0, 0, 99)))
         with pytest.raises(ProtocolViolationError, match="node 4 heard non-neighbor 2"):
             r.execute()
 
@@ -722,3 +875,129 @@ class TestRun:
             SimConfig(fixture="path:3", payload_bits=12_000_000, sim_duration_s=10)
         )
         assert loud.meta["channel_overloaded"] is True
+
+
+def static_flood_model(cfg, topo):
+    """(transmissions, first receptions, duplicate receptions) of one flood
+    on a static topology, from a layered search over the transmitting nodes
+    with no events.
+
+    Valid when the topology is static, every flood has its own key, the TTL
+    outlives each flood and nothing is truncated. Then all hop-k copies have
+    one size, so they arrive at one instant, after every hop-(k-1) copy
+    (hold >= 1 us). A node's first copy comes from its lowest-id
+    transmitting neighbor of the earliest hop, and the node transmits iff
+    the mode is blind, or it is a relay and rule 2 is off, that emitter is
+    the origin, or that emitter is one of its selectors. Every neighbor of a
+    transmitter hears it once; all but the first copy at each node are
+    duplicates (the source holds its own key from the start). Mobility, TTL
+    re-arming, `repeat_seq` and truncation fall outside the model; the other
+    properties of this module cover them.
+    """
+    adjacency = topo.adjacency
+    selectors = None
+    if cfg.mode == MODE_RELAY:
+        selectors = select_relays(topo, cfg.relay_order).selectors
+    source = topo.source_id
+    reached = {source}
+    hop = [source]
+    transmissions = heard = 0
+    while hop:
+        transmissions += len(hop)
+        heard += sum(len(adjacency[u]) for u in hop)
+        first_from = {}
+        for u in sorted(hop):
+            for v in adjacency[u]:
+                if v not in reached and v not in first_from:
+                    first_from[v] = u
+        reached.update(first_from)
+        hop = [
+            v
+            for v, u in first_from.items()
+            if selectors is None
+            or v in selectors
+            and (not cfg.rule2 or u == source or u in selectors[v])
+        ]
+    firsts = len(reached) - 1
+    return transmissions, firsts, heard - firsts
+
+
+@st.composite
+def static_flood_configs(draw):
+    """Static configs the model covers, before their TTL is set."""
+    layout = draw(st.sampled_from(["uniform", "path", "grid", "k", "fig3"]))
+    if layout == "uniform":
+        placement = {
+            "placement": "uniform",
+            "node_count": draw(st.integers(2, 60)),
+            # 60 m leaves most starts disconnected, 250 m few.
+            "radio_range": draw(st.sampled_from([60.0, 120.0, 180.0, 250.0])),
+            "seed": draw(st.integers(0, 1000)),
+        }
+    elif layout == "fig3":
+        placement = {"fixture": "fig3"}
+    else:
+        size = draw(
+            st.sampled_from([4, 9, 16, 25]) if layout == "grid" else st.integers(1, 8)
+        )
+        placement = {"fixture": f"{layout}:{size}"}
+    return SimConfig(
+        **placement,
+        mode=draw(st.sampled_from([MODE_RELAY, MODE_BLIND])),
+        rule2=draw(st.booleans()),
+        relay_order=draw(st.sampled_from(RELAY_ORDERS)),
+        inflight=draw(st.sampled_from([INFLIGHT_DELIVER, INFLIGHT_DROP])),
+        header_bits_per_relay=draw(st.sampled_from([0, 200])),
+        hold_time_s=draw(st.sampled_from([0.001, 0.05, 1.0, 6.0])),
+        channel_bps=draw(st.sampled_from([20_000, 11_000_000])),
+        packet_interval_s=draw(st.sampled_from([1.0, 2.5])),
+        sim_duration_s=10.0,
+    )
+
+
+class TestStaticFloodModel:
+    @settings(max_examples=100, deadline=None)
+    @given(static_flood_configs())
+    @example(SimConfig(fixture="fig3", sim_duration_s=10.0))
+    @example(SimConfig(fixture="fig3", rule2=False, sim_duration_s=10.0))
+    @example(SimConfig(fixture="path:6", sim_duration_s=10.0))
+    @example(SimConfig(fixture="path:6", mode=MODE_BLIND, sim_duration_s=10.0))
+    @example(SimConfig(fixture="grid:25", sim_duration_s=10.0))
+    @example(SimConfig(fixture="grid:25", relay_order="degree", sim_duration_s=10.0))
+    @example(SimConfig(fixture="grid:25", mode=MODE_BLIND, sim_duration_s=10.0))
+    # Relay 3 first hears relays 2 and 4 at one instant, and only 2, the
+    # lower id, is one of its selectors.
+    @example(
+        SimConfig(placement="uniform", node_count=6, radio_range=250.0, seed=2,
+                  sim_duration_s=10.0)
+    )
+    # Relay 2 is scanned before the source, and every neighbor of it hears
+    # the source too, so the source is not one of its selectors: only the
+    # origin clause of rule 2 lets it relay the source's copy.
+    @example(
+        SimConfig(
+            placement="uniform",
+            node_count=6,
+            radio_range=180.0,
+            seed=11,
+            relay_order="descending",
+            sim_duration_s=10.0,
+        )
+    )
+    def test_engine_totals_match_the_layered_search(self, cfg):
+        topo = scenario_topology(cfg)
+        n = len(topo.nodes)
+        # The TTL outlives a flood: at most n hops, each a hold plus the
+        # largest copy's serialization.
+        wire_max = cfg.payload_bits + n * cfg.header_bits_per_relay
+        flood_s = n * (cfg.hold_time_s + wire_max / cfg.channel_bps) + 1.0
+        cfg = dataclasses.replace(cfg, duplicate_ttl_s=flood_s)
+        sm = mx.summarize(run(cfg, topo))
+        assert sm["relays_truncated"] == 0
+        floods = sm["source_emissions"]
+        transmissions, firsts, dups = static_flood_model(cfg, topo)
+        assert (
+            sm["total_transmissions"],
+            sm["total_packets_received_first"],
+            sm["total_packets_received_dup"],
+        ) == (floods * transmissions, floods * firsts, floods * dups)

@@ -44,9 +44,9 @@ def hub_topology():
     return build_topology(nodes, 100.0)
 
 
-def make_cache(*nodes):
-    """Empty caches for `nodes` under a 30 s TTL."""
-    return DuplicateCache(30 * S, {u: {} for u in nodes})
+def make_cache():
+    """An empty cache under a 30 s TTL."""
+    return DuplicateCache(30 * S)
 
 
 class TestPacket:
@@ -94,7 +94,7 @@ class TestOnReceive:
     def test_client_delivers_without_relaying(self):
         t = fig3_topology()
         relays = select_relays(t)
-        cache = make_cache(4)
+        cache = make_cache()
         pkt = Packet(origin=0, seq=0, header_bits=200)
         action = on_receive(cache, 4, pkt, 1, relays, t.adjacency[4], now_us=0)
         assert action is Action.DELIVER_ONLY
@@ -102,7 +102,7 @@ class TestOnReceive:
     def test_duplicate_dropped_even_at_relay(self):
         t = fig3_topology()
         relays = select_relays(t)
-        cache = make_cache(1)
+        cache = make_cache()
         pkt = Packet(origin=0, seq=0)
         first = on_receive(cache, 1, pkt, 0, relays, t.adjacency[1], now_us=0)
         assert first is Action.DELIVER_AND_RELAY
@@ -112,7 +112,7 @@ class TestOnReceive:
     def test_relay_holds_fresh_packet_from_selector(self):
         t = fig3_topology()
         relays = select_relays(t)
-        cache = make_cache(1)
+        cache = make_cache()
         pkt = Packet(origin=0, seq=3)
         action = on_receive(cache, 1, pkt, 0, relays, t.adjacency[1], now_us=7 * S)
         assert action is Action.DELIVER_AND_RELAY
@@ -120,7 +120,7 @@ class TestOnReceive:
     def test_ineligible_emitter_delivers_only(self):
         t = hub_topology()
         relays = select_relays(t)
-        cache = make_cache(0)
+        cache = make_cache()
         pkt = Packet(origin=1, seq=0)
         action = on_receive(cache, 0, pkt, 3, relays, t.adjacency[0], now_us=0)
         assert action is Action.DELIVER_ONLY
@@ -131,7 +131,7 @@ class TestOnReceive:
     def test_rule2_off_relays_any_fresh_packet(self):
         t = hub_topology()
         relays = select_relays(t)
-        cache = make_cache(0)
+        cache = make_cache()
         pkt = Packet(origin=1, seq=0)
         action = on_receive(cache, 0, pkt, 3, relays, t.adjacency[0], 0, rule2=False)
         assert action is Action.DELIVER_AND_RELAY
@@ -139,7 +139,7 @@ class TestOnReceive:
     def test_non_neighbor_emitter_is_a_violation(self):
         t = fig3_topology()
         relays = select_relays(t)
-        cache = make_cache(4)
+        cache = make_cache()
         pkt = Packet(origin=0, seq=0)
         with pytest.raises(ProtocolViolationError):
             # 2 is not adjacent to client 4.
@@ -149,7 +149,7 @@ class TestOnReceive:
 class TestBlindFlood:
     def test_every_first_seen_packet_is_relayed(self):
         t = fig3_topology()
-        cache = make_cache(4)
+        cache = make_cache()
         pkt = Packet(origin=0, seq=0)
         assert blind_flood_on_receive(cache, 4, pkt, 1, t.adjacency[4], 0) is (
             Action.DELIVER_AND_RELAY
@@ -157,7 +157,7 @@ class TestBlindFlood:
 
     def test_duplicates_dropped(self):
         t = fig3_topology()
-        cache = make_cache(4)
+        cache = make_cache()
         pkt = Packet(origin=0, seq=0)
         blind_flood_on_receive(cache, 4, pkt, 1, t.adjacency[4], 0)
         assert blind_flood_on_receive(cache, 4, pkt, 1, t.adjacency[4], 1 * S) is (
@@ -191,9 +191,8 @@ def batch_receptions(draw):
 
     ttl = draw(st.integers(min_value=1, max_value=10**8))
     now = 10**9
-    cache = DuplicateCache(ttl, {})
+    cache = DuplicateCache(ttl)
     for u in range(n):
-        seen = cache.seen[u] = {}
         age = draw(
             st.one_of(
                 st.none(),
@@ -202,7 +201,7 @@ def batch_receptions(draw):
             )
         )
         if age is not None:
-            seen[pkt.key] = now - age
+            cache.seen.setdefault(pkt.key, {})[u] = now - age
 
     nodes = st.sampled_from(range(n))
     selectors = draw(st.dictionaries(nodes, st.frozensets(nodes)))
@@ -247,7 +246,7 @@ class TestReceiveBatch:
     def test_receiver_outside_emitter_adjacency_is_a_violation(self, blind):
         t = fig3_topology()
         relays = None if blind else select_relays(t)
-        cache = make_cache(*t.node_ids())
+        cache = make_cache()
         pkt = Packet(origin=0, seq=0)
         with pytest.raises(
             ProtocolViolationError, match="node 4 heard non-neighbor 2"
@@ -278,50 +277,75 @@ class TestHoldBuffer:
 class TestExpireCaches:
     def test_entry_over_ttl_evicted(self):
         # One call sweeps both nodes.
-        cache = make_cache(2, 3)
-        cache.seen[2][(0, 0)] = 0
-        cache.seen[3][(0, 0)] = 0
-        cache.seen[3][(0, 1)] = 0
+        cache = make_cache()
+        cache.seen[(0, 0)] = {2: 0, 3: 0}
+        cache.seen[(0, 1)] = {3: 0}
         eviction = expire_caches(cache, 31 * S)
         assert eviction.seen_keys == ((0, 0), (0, 0), (0, 1))
-        assert cache.seen == {2: {}, 3: {}}
+        assert cache.seen == {}
 
     def test_entry_under_ttl_retained(self):
-        cache = make_cache(2, 3)
-        cache.seen[2][(0, 0)] = 0
-        cache.seen[3][(0, 0)] = 5 * S
+        cache = make_cache()
+        cache.seen[(0, 0)] = {2: 0, 3: 5 * S}
         eviction = expire_caches(cache, 34 * S)
         assert eviction.seen_keys == ((0, 0),)
-        assert cache.seen == {2: {}, 3: {(0, 0): 5 * S}}
+        assert cache.seen == {(0, 0): {3: 5 * S}}
 
     def test_entry_at_exactly_ttl_retained(self):
-        cache = make_cache(2, 3)
-        cache.seen[2][(0, 0)] = 0
-        cache.seen[3][(0, 0)] = 1
+        cache = make_cache()
+        cache.seen[(0, 0)] = {2: 0, 3: 1}
         assert expire_caches(cache, 30 * S).seen_keys == ()
-        assert cache.seen == {2: {(0, 0): 0}, 3: {(0, 0): 1}}
+        assert cache.seen == {(0, 0): {2: 0, 3: 1}}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 3)),
+            st.dictionaries(st.integers(0, 5), st.integers(0, 60 * S), max_size=4),
+            max_size=6,
+        ),
+        st.integers(0, 90 * S),
+    )
+    def test_keeps_exactly_the_fresh_entries(self, seen, now):
+        cache = make_cache()
+        cache.seen = copy.deepcopy(seen)
+        eviction = expire_caches(cache, now)
+        fresh = {
+            key: kept
+            for key, nodes in seen.items()
+            if (kept := {v: t0 for v, t0 in nodes.items() if now - t0 <= 30 * S})
+        }
+        assert cache.seen == fresh
+        aged = sum(len(nodes) for nodes in seen.values()) - sum(
+            len(nodes) for nodes in fresh.values()
+        )
+        assert len(eviction.seen_keys) == aged
+        for key in set(eviction.seen_keys):
+            assert eviction.seen_keys.count(key) == len(seen[key]) - len(
+                fresh.get(key, {})
+            )
 
     def test_stale_entry_no_longer_blocks_reception(self):
         t = fig3_topology()
         relays = select_relays(t)
-        cache = make_cache(4)
+        cache = make_cache()
         pkt = Packet(origin=0, seq=0)
         on_receive(cache, 4, pkt, 1, relays, t.adjacency[4], now_us=0)
         # 31 s later the cache entry is stale; the same key reads as fresh.
         action = on_receive(cache, 4, pkt, 1, relays, t.adjacency[4], now_us=31 * S)
         assert action is Action.DELIVER_ONLY
-        assert cache.seen[4][pkt.key] == 31 * S
+        assert cache.seen[pkt.key][4] == 31 * S
 
 
 class TestAdmit:
     def test_entry_at_exactly_ttl_is_a_duplicate(self):
-        cache = make_cache(2)
-        cache.seen[2][(0, 0)] = 0
+        cache = make_cache()
+        cache.seen[(0, 0)] = {2: 0}
         assert not admit(cache, 2, (0, 0), 30 * S)
-        assert cache.seen[2][(0, 0)] == 0
+        assert cache.seen[(0, 0)][2] == 0
 
     def test_entry_over_ttl_is_overwritten(self):
-        cache = make_cache(2)
-        cache.seen[2][(0, 0)] = 0
+        cache = make_cache()
+        cache.seen[(0, 0)] = {2: 0}
         assert admit(cache, 2, (0, 0), 30 * S + 1)
-        assert cache.seen[2][(0, 0)] == 30 * S + 1
+        assert cache.seen[(0, 0)][2] == 30 * S + 1
