@@ -34,6 +34,22 @@ neighbors the emitter had at transmission time; the `inflight=drop` flag
 instead re-checks adjacency on arrival and counts newly unreachable copies
 as lost in transit. Either way the bit-conservation identity is exact.
 
+A static run with a new key per flood (no mobility, not `repeat_seq`)
+simulates the first flood of each payload size alone, through the same
+handlers on its own queue, waves and cache, and captures its metrics writes
+at offsets from its start. Each flood of that size replays them through
+`MetricsSeries.record` at its own start and adds the flood's tallies and its
+key at the nodes that first-received it. Why this is exact: keys are
+independent, as above; a static run never reconfigures, so its topology,
+epoch and cover never change and `inflight=drop` loses nothing; times are
+integer microseconds and TTL ageing is relative to the flood's start. Only
+three things depend on absolute time: the bucket, which `record` computes
+at replay; the horizon, which `record` still checks; and the cutoff. A trace
+is reused only if its last write, shifted to the new start, falls before
+the cutoff, and one that truncated a relay is never kept; any other flood is
+simulated too. Traces are keyed by payload bits, so a `rate_schedule` stays
+exact.
+
 Work is done only for the snapshots traffic reads. A mobility step only moves
 the nodes; the new snapshot's adjacency is built on its first read. A
 topology-control tick that finds the cover stale only notes the current
@@ -48,9 +64,11 @@ import dataclasses
 import heapq
 import math
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import metrics as mx
@@ -231,6 +249,27 @@ def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
     )
 
 
+# The `_Run` tallies a flood adds to.
+_TALLIES = (
+    "expected_bits",
+    "expected_packets",
+    "cache_evictions",
+    "relay_loop_violations",
+    "relays_truncated",
+)
+
+
+class _Trace(NamedTuple):
+    """One flood simulated alone: its metrics writes as (offset from its
+    start, nodes, bits counter, wire bits), the offset of its last write,
+    the nodes that first-received it, and what it added to each tally."""
+
+    writes: list[tuple[int, Collection[int], int, int]]
+    span: int
+    firsts: set[int]
+    tallies: dict[str, int]
+
+
 class _Run:
     """Mutable state for one simulation execution."""
 
@@ -285,7 +324,11 @@ class _Run:
         self.relays_truncated = 0
         self.delivered_keys: dict[int, set] = {u: set() for u in topo.node_ids()}
         self.relayed_keys: dict[int, set] = {u: set() for u in topo.node_ids()}
-        self.last_time_us = 0
+        # Payload bits -> the trace each flood of that size replays (see the
+        # module docstring); None takes every flood through the shared queue.
+        self.traces: dict[int, _Trace] | None = (
+            {} if cfg.mobility_displacement == 0 and not cfg.repeat_seq else None
+        )
 
     # -- scheduling -----------------------------------------------------
 
@@ -340,10 +383,54 @@ class _Run:
             header_bits=0,
             created_at_us=ev.time_us,
         )
-        if admit(self.cache, self.source, pkt.key, ev.time_us):
+        if self.traces is None:
+            self._emit(pkt)
+            return
+        trace = self.traces.get(pkt.payload_bits)
+        if trace is None or ev.time_us + trace.span >= self.cutoff_us:
+            trace = self._simulate(pkt)
+            if not trace.tallies["relays_truncated"]:
+                self.traces[pkt.payload_bits] = trace
+        self._replay(trace, ev.time_us, pkt.key)
+
+    def _emit(self, pkt: Packet) -> None:
+        now = pkt.created_at_us
+        if admit(self.cache, self.source, pkt.key, now):
             self.cache_evictions += 1
-        self.series.record(ev.time_us, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
-        self._broadcast(self.source, pkt, ev.time_us)
+        self.series.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
+        self._broadcast(self.source, pkt, now)
+
+    def _simulate(self, pkt: Packet) -> _Trace:
+        """Run the flood of `pkt` alone to its end, on its own queue, waves
+        and cache, and return what it wrote and added, unapplied."""
+        start, writes = pkt.created_at_us, []
+        shared = self.queue, self.waves, self.cache, self.series
+        before = {name: getattr(self, name) for name in _TALLIES}
+        self.queue, self.waves = type(self.queue)(), {}
+        self.cache = DuplicateCache(self.cache.ttl_us)
+        self.series = SimpleNamespace(
+            record=lambda now_us, *write: writes.append((now_us - start, *write))
+        )
+        self._emit(pkt)
+        self._drain()
+        self.queue, self.waves, self.cache, self.series = shared
+        tallies = {name: getattr(self, name) - value for name, value in before.items()}
+        for name, value in before.items():
+            setattr(self, name, value)
+        firsts = {
+            v for _, nodes, counter, _ in writes
+            if counter == mx.BITS_RECEIVED_FIRST for v in nodes
+        }
+        return _Trace(writes, max(w[0] for w in writes), firsts, tallies)
+
+    def _replay(self, trace: _Trace, start_us: int, key: tuple[int, int]) -> None:
+        record = self.series.record
+        for offset, nodes, counter, wire in trace.writes:
+            record(start_us + offset, nodes, counter, wire)
+        for v in trace.firsts:
+            self.delivered_keys[v].add(key)
+        for name, delta in trace.tallies.items():
+            setattr(self, name, getattr(self, name) + delta)
 
     def handle_receive(self, ev: Event) -> None:
         wave = self.waves.pop(ev.data)
@@ -429,6 +516,13 @@ class _Run:
 
     def execute(self) -> MetricsSeries:
         self.preload()
+        self._drain()
+        self._finalize()
+        return self.series
+
+    def _drain(self) -> None:
+        """Handle the events of `self.queue` in order until it is empty."""
+        queue = self.queue
         handlers = {
             EventKind.EMIT_FROM_SOURCE: self.handle_emit_from_source,
             EventKind.RECEIVE: self.handle_receive,
@@ -436,17 +530,17 @@ class _Run:
             EventKind.TOPO_CONTROL: self.handle_topo_control,
             EventKind.TOPO_RECONFIGURE: self.handle_topo_reconfigure,
         }
-        while (ev := self.queue.pop()) is not None:
-            if ev.time_us < self.last_time_us:
+        last_us = 0
+        while (ev := queue.pop()) is not None:
+            if ev.time_us < last_us:
                 raise AccountingError("event time went backwards")
-            self.last_time_us = ev.time_us
+            last_us = ev.time_us
             handlers[ev.kind](ev)
-        self._finalize()
-        return self.series
 
     def _finalize(self) -> None:
         series = self.series
         totals = series.counter_total()
+        peak = series.peak_node_bits_per_second()
         got_bits = (
             totals[mx.BITS_RECEIVED_FIRST]
             + totals[mx.BITS_RECEIVED_DUP]
@@ -489,6 +583,8 @@ class _Run:
                 f"{t}:{b}" for t, b in cfg.rate_schedule
             ),
         )
+        # The summary's totals and peak, kept so `summarize` needs no scan.
+        series.meta.update(zip(mx.TOTAL_KEYS, totals))
         series.meta.update(
             {
                 "fingerprint": scenario_fingerprint(cfg, self.initial_topo),
@@ -510,8 +606,8 @@ class _Run:
                 "cache_evictions": self.cache_evictions,
                 "conservation_sent_bits": self.expected_bits,
                 "conservation_received_bits": got_bits - totals[mx.BITS_LOST],
-                "channel_overloaded": series.peak_node_bits_per_second()
-                > cfg.channel_bps,
+                "peak_node_bits_per_second": peak,
+                "channel_overloaded": peak > cfg.channel_bps,
             }
         )
 

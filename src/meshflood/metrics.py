@@ -13,7 +13,6 @@ is exact, never approximate.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -30,6 +29,9 @@ COUNTERS = tuple(f"{unit}_{name}" for unit in ("bits", "packets") for name in _C
 (BITS_LOST, BITS_RECEIVED_DUP, BITS_RECEIVED_FIRST, BITS_RELAYED, BITS_SENT,
  PACKETS_LOST, PACKETS_RECEIVED_DUP, PACKETS_RECEIVED_FIRST, PACKETS_RELAYED,
  PACKETS_SENT) = range(len(COUNTERS))
+
+# The summary key of each counter's run total, indexed like a cell.
+TOTAL_KEYS = tuple(f"total_{name}" for name in COUNTERS)
 
 CSV_HEADER = "t,node_id,counter,value"
 
@@ -79,15 +81,6 @@ class MetricsSeries:
         rows = (row for cells in self.buckets.values() for row in cells.values())
         return [sum(column) for column in zip([0] * len(COUNTERS), *rows)]
 
-    def node_totals(self, counter: int) -> dict[int, int]:
-        """Per-node total of one counter, for the nodes where it is non-zero."""
-        totals: Counter[int] = Counter()
-        for per_node in self.buckets.values():
-            for n, row in per_node.items():
-                if row[counter]:
-                    totals[n] += row[counter]
-        return dict(totals)
-
     def peak_node_bits_per_second(self) -> int:
         """Largest per-node, per-second emitted volume (source plus relay bits)."""
         peak = 0
@@ -116,28 +109,6 @@ def export_csv(series: MetricsSeries, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def parse_csv(path) -> dict[int, dict[int, list[int]]]:
-    """Read an export back into the bucket structure (round-trip inverse).
-    A counter name outside `COUNTERS` is a `ValueError`."""
-    index = {name: i for i, name in enumerate(COUNTERS)}
-    buckets: dict[int, dict[int, list[int]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            t_s, node_s, name, value_s = raw.split(",")
-            if name not in index:
-                raise ValueError(f"unknown counter: {name!r}")
-            bucket = buckets.setdefault(int(t_s), {})
-            row = bucket.setdefault(int(node_s), [0] * len(COUNTERS))
-            row[index[name]] = int(value_s)
-    return buckets
-
-
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -147,16 +118,19 @@ def format_value(value) -> str:
 
 
 def summarize(series: MetricsSeries) -> dict:
-    """Flatten run totals and engine metadata into a single key/value record."""
-    summary = dict(series.meta)
-    totals = series.counter_total()
-    for name, total in zip(COUNTERS, totals):
-        summary[f"total_{name}"] = total
+    """Flatten run totals and engine metadata into a single key/value record.
 
+    The engine keeps the totals and the peak in `meta` when it finalizes a
+    run; a series without them is scanned here.
+    """
+    summary = dict(series.meta)
+    if "peak_node_bits_per_second" not in summary:
+        summary.update(zip(TOTAL_KEYS, series.counter_total()))
+        summary["peak_node_bits_per_second"] = series.peak_node_bits_per_second()
+    totals = [summary[key] for key in TOTAL_KEYS]
     first, dup = totals[PACKETS_RECEIVED_FIRST], totals[PACKETS_RECEIVED_DUP]
     summary["redundancy_ratio"] = (dup / first) if first else 0.0
     summary["total_transmissions"] = totals[PACKETS_SENT] + totals[PACKETS_RELAYED]
-    summary["peak_node_bits_per_second"] = series.peak_node_bits_per_second()
     return summary
 
 

@@ -59,8 +59,9 @@ class Topology:
     """Immutable snapshot of node positions and their disk adjacency.
 
     `edges`, when given, is taken as the adjacency: `build_topology` passes
-    the disk adjacency it built, `load_topology` a file's links. Otherwise
-    the disk adjacency of the positions is built on first read.
+    the disk adjacency it built, and a reader of a `save_topology` file
+    passes its links. Otherwise the disk adjacency of the positions is built
+    on first read.
     """
 
     nodes: dict[int, Node]
@@ -274,30 +275,3 @@ def save_topology(t: Topology, path) -> None:
                 lines.append(f"edge {u} {v}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_topology(path) -> Topology:
-    """Read a topology file written by save_topology; edges are taken as given."""
-    nodes: dict[int, Node] = {}
-    links: dict[int, set[int]] = {}
-    radio_range = 0.0
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            parts = raw.split()
-            if not parts:
-                continue
-            if parts[0] == "n":
-                radio_range = float(parts[3])
-            elif parts[0] == "node":
-                u = int(parts[1])
-                role = Role.SOURCE if parts[4] == Role.SOURCE.value else Role.CLIENT
-                nodes[u] = Node(u, role, (float(parts[2]), float(parts[3])))
-                links[u] = set()
-            elif parts[0] == "edge":
-                u, v = int(parts[1]), int(parts[2])
-                links[u].add(v)
-                links[v].add(u)
-            else:
-                raise ValueError(f"unrecognized topology line: {raw.strip()}")
-    edges = {u: frozenset(s) for u, s in links.items()}
-    return Topology(nodes, radio_range, edges=edges)

@@ -1,0 +1,68 @@
+"""Readers of the simulator's outputs that only the tests use: a
+`series.csv` back into buckets, per-node counter totals, and a topology file
+back into a `Topology`."""
+
+from collections import Counter
+
+from meshflood.metrics import COUNTERS, CSV_HEADER, MetricsSeries
+from meshflood.topology import Node, Role, Topology
+
+
+def parse_csv(path) -> dict[int, dict[int, list[int]]]:
+    """Read an export back into the bucket structure (round-trip inverse).
+    A counter name outside `COUNTERS` is a `ValueError`."""
+    index = {name: i for i, name in enumerate(COUNTERS)}
+    buckets: dict[int, dict[int, list[int]]] = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header: {header!r}")
+        for raw in fh:
+            raw = raw.strip()
+            if not raw:
+                continue
+            t_s, node_s, name, value_s = raw.split(",")
+            if name not in index:
+                raise ValueError(f"unknown counter: {name!r}")
+            bucket = buckets.setdefault(int(t_s), {})
+            row = bucket.setdefault(int(node_s), [0] * len(COUNTERS))
+            row[index[name]] = int(value_s)
+    return buckets
+
+
+def node_totals(series: MetricsSeries, counter: int) -> dict[int, int]:
+    """Per-node total of one counter, for the nodes where it is non-zero."""
+    totals: Counter[int] = Counter()
+    for per_node in series.buckets.values():
+        for n, row in per_node.items():
+            if row[counter]:
+                totals[n] += row[counter]
+    return dict(totals)
+
+
+def load_topology(path) -> Topology:
+    """Read a topology file written by `save_topology`; edges are taken as
+    given."""
+    nodes: dict[int, Node] = {}
+    links: dict[int, set[int]] = {}
+    radio_range = 0.0
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            parts = raw.split()
+            if not parts:
+                continue
+            if parts[0] == "n":
+                radio_range = float(parts[3])
+            elif parts[0] == "node":
+                u = int(parts[1])
+                role = Role.SOURCE if parts[4] == Role.SOURCE.value else Role.CLIENT
+                nodes[u] = Node(u, role, (float(parts[2]), float(parts[3])))
+                links[u] = set()
+            elif parts[0] == "edge":
+                u, v = int(parts[1]), int(parts[2])
+                links[u].add(v)
+                links[v].add(u)
+            else:
+                raise ValueError(f"unrecognized topology line: {raw.strip()}")
+    edges = {u: frozenset(s) for u, s in links.items()}
+    return Topology(nodes, radio_range, edges=edges)

@@ -21,6 +21,7 @@ from meshflood.fixtures import (
 )
 from meshflood.metrics import compare, summarize
 from meshflood.relays import brute_force_min_relays, coverage_check, select_relays
+from readers import node_totals
 
 FLOODS = 150  # 300 s run, one emission every 2 s
 
@@ -132,7 +133,7 @@ def test_criterion_3_flood_completeness(static_runs):
         series, summary = static_runs[(name, "relay")]
         if summary["source_emissions"] != FLOODS:
             problems.append(f"{name}: {summary['source_emissions']} emissions")
-        per_node = series.node_totals(mx.PACKETS_RECEIVED_FIRST)
+        per_node = node_totals(series, mx.PACKETS_RECEIVED_FIRST)
         expected_nodes = summary["config_node_count"] - 1  # all but source 0
         if len(per_node) != expected_nodes or any(
             count != FLOODS for count in per_node.values()
@@ -183,15 +184,15 @@ def test_criterion_4_traffic_reduction(static_runs):
 def test_criterion_5_header_accounting(static_runs):
     problems = []
     fig3_series, _ = static_runs[("fig3", "relay")]
-    bits = fig3_series.node_totals(mx.BITS_RECEIVED_FIRST)
-    packets = fig3_series.node_totals(mx.PACKETS_RECEIVED_FIRST)
+    bits = node_totals(fig3_series, mx.BITS_RECEIVED_FIRST)
+    packets = node_totals(fig3_series, mx.PACKETS_RECEIVED_FIRST)
     for client in (4, 5, 6, 7, 8, 9):
         wire = bits[client] / packets[client]
         if wire != 2200:
             problems.append(f"fig3 client {client}: {wire} bits per packet")
     path_series, _ = static_runs[("path5", "relay")]
-    path_bits = path_series.node_totals(mx.BITS_RECEIVED_FIRST)
-    path_packets = path_series.node_totals(mx.PACKETS_RECEIVED_FIRST)
+    path_bits = node_totals(path_series, mx.BITS_RECEIVED_FIRST)
+    path_packets = node_totals(path_series, mx.PACKETS_RECEIVED_FIRST)
     for node, relay_hops in ((1, 0), (2, 1), (3, 2), (4, 3)):
         expected = 2000 + 200 * relay_hops
         wire = path_bits[node] / path_packets[node]

@@ -44,9 +44,12 @@ def test_traced_child_run_matches_untraced(tmp_path, mode):
 
 
 def test_traced_sweep_is_one_call_per_control_tick(tmp_path):
+    # Mobile, so every flood's cache entries age in the run's one cache: a
+    # static run simulates a flood alone, ahead of the ticks, with its own.
     text = (
         "mode = relay\nfixture = grid:25\nnode_count = 25\n"
         "duplicate_ttl_s = 6\nsim_duration_s = 30\n"
+        "mobility_displacement = 20\ntopo_stability_s = 5\n"
     )
     layers = run_child(tmp_path / "traced", True, text)["layers"]
     assert layers["engine.events.TOPO_CONTROL"] > 0
@@ -58,8 +61,12 @@ def test_traced_sweep_is_one_call_per_control_tick(tmp_path):
 def test_traced_blind_run_releases_once_per_broadcast_hop(tmp_path):
     # One RELAY_EMIT per RECEIVE that has relaying nodes, each with one
     # release_hold call, so a blind grid (several relays per hop) has fewer
-    # of them than relayed or truncated copies.
-    text = "mode = blind\nfixture = grid:25\nnode_count = 25\nsim_duration_s = 20\n"
+    # of them than relayed or truncated copies. Mobile, so every flood's
+    # events pop: a static run simulates one flood and replays the rest.
+    text = (
+        "mode = blind\nfixture = grid:25\nnode_count = 25\nsim_duration_s = 20\n"
+        "mobility_displacement = 20\ntopo_stability_s = 5\n"
+    )
     out = tmp_path / "traced"
     layers = run_child(out, True, text)["layers"]
     summary = dict(

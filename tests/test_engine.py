@@ -35,6 +35,7 @@ from meshflood.metrics import export_csv, export_summary
 from meshflood.protocol import Packet, expire_caches
 from meshflood.relays import select_relays
 from meshflood.topology import MobilityStep, reconfigure
+from readers import node_totals
 
 
 class TestEventQueue:
@@ -340,18 +341,50 @@ class PerNodeRelayQueue(EventQueue):
                 super().push(event._replace(subject=v, data=((pkt, (v,)),)))
 
 
-class PopLog(EventQueue):
-    """Keeps every event it pops."""
+class EventPath:
+    """Takes every flood through the run's shared event queue, as mobile and
+    `repeat_seq` runs do: the reference of the static runs' replay."""
 
-    def __init__(self):
-        super().__init__()
-        self.popped = []
+    def __init__(self, cfg, topo):
+        super().__init__(cfg, topo)
+        self.traces = None
 
-    def pop(self):
-        ev = super().pop()
-        if ev is not None:
-            self.popped.append(ev)
-        return ev
+
+class EventPathRun(EventPath, _Run):
+    pass
+
+
+class EventPathPerBroadcast(EventPath, PerBroadcastRun):
+    pass
+
+
+class EventPathDescending(EventPath, DescendingWaves):
+    pass
+
+
+class SimulationCount(_Run):
+    """Counts the floods the run simulates alone."""
+
+    simulated = 0
+
+    def _simulate(self, pkt):
+        self.simulated += 1
+        return super()._simulate(pkt)
+
+
+def pop_log():
+    """A queue class and the list that its instances, a run's queue and the
+    queue of each flood the run simulates alone, log every popped event to."""
+    popped = []
+
+    class PopLog(EventQueue):
+        def pop(self):
+            ev = super().pop()
+            if ev is not None:
+                popped.append(ev)
+            return ev
+
+    return PopLog, popped
 
 
 class RankedQueue:
@@ -436,6 +469,82 @@ class TestRun:
             _Run(cfg, topo).execute()
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(small_configs(), scheduled_configs()),
+        st.none() | st.floats(min_value=0.1, max_value=1.2),
+    )
+    @example(SimConfig(fixture="fig3", sim_duration_s=30), None)
+    @example(SimConfig(fixture="fig3", repeat_seq=True, sim_duration_s=30), None)
+    # TTL = hold re-arms every node, so each flood runs until the cutoff
+    # truncates it, and each is simulated again.
+    @example(
+        SimConfig(
+            fixture="path:12",
+            mode=MODE_BLIND,
+            hold_time_s=1.0,
+            duplicate_ttl_s=1.0,
+            packet_interval_s=0.5,
+            sim_duration_s=30,
+        ),
+        None,
+    )
+    @example(
+        SimConfig(
+            fixture="grid:9", rate_schedule=((0.0, 2000), (4.0, 900)), sim_duration_s=15
+        ),
+        None,
+    )
+    # The first flood ends well before this cutoff; the floods that cross
+    # it cannot reuse its trace.
+    @example(SimConfig(fixture="grid:9", hold_time_s=0.5, sim_duration_s=15), 0.5)
+    def test_replay_matches_the_event_path(self, cfg, cutoff_share):
+        # `cutoff_share` moves the drain cutoff to that share of the run, so
+        # the floods that cross it are truncated.
+        cfg.validate()
+        topo = scenario_topology(cfg)
+        runs = EventPathRun(cfg, topo), _Run(cfg, topo)
+        if cutoff_share is not None:
+            for r in runs:
+                r.cutoff_us = round(cutoff_share * cfg.sim_duration_s * mx.US)
+        reference, replayed = (output_bytes(r.execute()) for r in runs)
+        assert replayed == reference
+
+    def test_a_static_run_simulates_one_flood_per_payload_size(self):
+        relay = SimConfig(fixture="grid:121", sim_duration_s=360)
+        blind = SimConfig(
+            mode=MODE_BLIND, placement="uniform", node_count=400, sim_duration_s=60
+        )
+        scheduled = SimConfig(
+            fixture="grid:25", rate_schedule=((0.0, 2000), (4.0, 900)), sim_duration_s=20
+        )
+        for cfg, topo, floods in (
+            (relay, scenario_topology(relay), 1),
+            (blind, random_connected_topology(400, 0), 1),
+            (scheduled, scenario_topology(scheduled), 2),
+            (MOBILE_DROP, scenario_topology(MOBILE_DROP), 0),
+        ):
+            r = SimulationCount(cfg, topo)
+            r.execute()
+            assert r.simulated == floods, cfg
+
+    def test_handler_overrides_run_inside_a_simulated_flood(self):
+        # Copies of one key meet at one instant in this static run, so taking
+        # them by descending emitter changes its outputs, on the replay as on
+        # the event path.
+        cfg = SimConfig(
+            placement="uniform",
+            node_count=12,
+            radio_range=180.0,
+            seed=1,
+            relay_order="descending",
+            sim_duration_s=10,
+        )
+        topo = scenario_topology(cfg)
+        descending = output_bytes(DescendingWaves(cfg, topo).execute())
+        assert descending != output_bytes(_Run(cfg, topo).execute())
+        assert descending == output_bytes(EventPathDescending(cfg, topo).execute())
+
     @settings(max_examples=60, deadline=None)
     @given(scheduled_configs(), st.integers(0, 2**32))
     # Copies of one key meet at one instant here; see the next test.
@@ -445,10 +554,12 @@ class TestRun:
     ):
         # On one RECEIVE per broadcast, where one key has several events at
         # an instant, and on the waves themselves.
+        # The shared queue is where keys meet, so the ranked runs take it for
+        # every flood; a static run's replay is checked against it below.
         cfg.validate()
         topo = scenario_topology(cfg)
         expected = output_bytes(_Run(cfg, topo).execute())
-        for ranked in (PerBroadcastRun(cfg, topo), _Run(cfg, topo)):
+        for ranked in (EventPathPerBroadcast(cfg, topo), EventPathRun(cfg, topo)):
             ranked.queue = RankedQueue(per_key_rank(salt))
             assert output_bytes(ranked.execute()) == expected, type(ranked)
 
@@ -479,24 +590,29 @@ class TestRun:
         ids=["blind-grid25", "relay-grid25", "mobile-drop"],
     )
     def test_one_receive_per_instant_and_key(self, cfg):
+        # A static run pops a simulated flood's events from that flood's own
+        # queue, which the log sees too; its event path is checked as well.
         topo = scenario_topology(cfg)
-        runs = []
-        for r in (_Run(cfg, topo), PerBroadcastRun(cfg, topo)):
-            r.queue = PopLog()
-            r.execute()
-            runs.append(r)
-        waves, per_broadcast = (
-            [
-                (ev.time_us, ev.kind, event_key(ev))
-                for ev in r.queue.popped
-                if ev.kind in (EventKind.RECEIVE, EventKind.RELAY_EMIT)
-            ]
-            for r in runs
-        )
-        assert len(set(waves)) == len(waves)
-        # Not vacuous: one event per broadcast repeats (instant, key) pairs.
-        assert len(set(per_broadcast)) < len(per_broadcast)
-        assert set(per_broadcast) == set(waves)
+        for classes in ((_Run, PerBroadcastRun), (EventPathRun, EventPathPerBroadcast)):
+            logs = []
+            for cls in classes:
+                r = cls(cfg, topo)
+                queue_class, popped = pop_log()
+                r.queue = queue_class()
+                r.execute()
+                logs.append(popped)
+            waves, per_broadcast = (
+                [
+                    (ev.time_us, ev.kind, event_key(ev))
+                    for ev in popped
+                    if ev.kind in (EventKind.RECEIVE, EventKind.RELAY_EMIT)
+                ]
+                for popped in logs
+            )
+            assert len(set(waves)) == len(waves), classes
+            # Not vacuous: one event per broadcast repeats (instant, key) pairs.
+            assert len(set(per_broadcast)) < len(per_broadcast), classes
+            assert set(per_broadcast) == set(waves), classes
 
     def test_a_wave_of_two_copy_sizes_writes_each_size(self):
         # Node 1 and node 3 of a blind path send copies of one key, of two
@@ -542,7 +658,7 @@ class TestRun:
         late.cutoff_us = relay_emit.time_us
         late.handle_relay_emit(late.queue.pop())
         assert late.relays_truncated == 3
-        assert late.series.node_totals(mx.BITS_RELAYED) == {}
+        assert node_totals(late.series, mx.BITS_RELAYED) == {}
 
     @settings(max_examples=40, deadline=None)
     @given(mobile_configs())
@@ -678,7 +794,8 @@ class TestRun:
             sim_duration_s=600,
         )
 
-        class PeakCache(_Run):
+        # On the shared queue, where every flood's keys meet in one cache.
+        class PeakCache(EventPathRun):
             peak = 0
 
             def handle_emit_from_source(self, ev):
@@ -857,7 +974,7 @@ class TestRun:
     def test_relay_chain_headers_accumulate_along_path(self):
         series = run(SimConfig(fixture="path:5", sim_duration_s=20))
         floods = series.meta["source_emissions"]
-        first_bits = series.node_totals(mx.BITS_RECEIVED_FIRST)
+        first_bits = node_totals(series, mx.BITS_RECEIVED_FIRST)
         for node, relay_hops in ((1, 0), (2, 1), (3, 2), (4, 3)):
             assert first_bits[node] == floods * (2000 + 200 * relay_hops)
 

@@ -11,9 +11,9 @@ from meshflood.metrics import (
     compare,
     export_csv,
     export_summary,
-    parse_csv,
     summarize,
 )
+from readers import parse_csv
 
 
 BITS_COUNTERS = (

@@ -14,13 +14,13 @@ from meshflood.topology import (
     build_topology,
     grid_spacing,
     is_connected,
-    load_topology,
     one_hop,
     place_nodes,
     reconfigure,
     save_topology,
     two_hop,
 )
+from readers import load_topology
 
 
 def path3():
