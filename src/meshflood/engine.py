@@ -1,13 +1,19 @@
 """Deterministic discrete-event loop driving floods over a mesh topology.
 
-Time is kept in integer microseconds so replaying a configuration is exact:
-equal-time events are totally ordered by (kind rank, subject id, insertion
-counter). Kind ranks put topology changes before relay recomputation and
-the duplicate-cache sweep before traffic at the same instant:
+Time is kept in integer microseconds so replaying a configuration is exact.
 
-    TOPO_RECONFIGURE < TOPO_CONTROL < EMIT_FROM_SOURCE < RELAY_EMIT < RECEIVE
+The unit of simulation is the packet key `(origin, seq)`: one key per flood,
+or one key for every flood of a `repeat_seq` run. `execute` drains the keys
+one at a time, in start order. A key's drain pushes the source emissions of
+its floods on a fresh `EventQueue` and handles events until the queue is
+empty, with its own waves, its own `DuplicateCache` and its own sets of the
+nodes that first-received the key and that relayed it; the run keeps one
+delivery count per node. Equal-time events of a drain are totally ordered by
+(kind rank, subject id, insertion counter):
 
-One RECEIVE serves a wave: every copy of one packet key that arrives at one
+    EMIT_FROM_SOURCE < RELAY_EMIT < RECEIVE
+
+One RECEIVE serves a wave: every copy of the key that arrives at one
 instant. A broadcast appends `(emitter, packet, receivers, topology)` to the
 wave keyed by `(arrival, origin, seq)`, and the wave's first append pushes
 its RECEIVE, whose data is that key. The RECEIVE sorts the wave stably by
@@ -15,47 +21,64 @@ emitter and takes each copy in turn, then writes each outcome once per
 distinct packet copy and pushes at most one RELAY_EMIT, carrying one
 `(packet, relaying nodes)` entry per distinct copy that has relays.
 
-Why this is exact. A wave is complete before its RECEIVE pops: a copy
+Why waves are exact. A wave is complete before its RECEIVE pops: a copy
 arriving at t is sent at or before t, and the emissions of instant t (source
 emissions and RELAY_EMITs) rank before its RECEIVEs; every RELAY_EMIT at t
 comes from a wave at t - hold with hold >= 1 us, so it is queued before any
-RECEIVE at t pops. Within one key, the stable sort gives the copies the
-(emitter, insertion) order that one RECEIVE per copy would pop in, and a
-node first-receives a key at most once per wave, so the wave's relays each
-emit once and the RECEIVEs they cause keep that order too. Same-instant
-order matters only within one packet key: events of different keys touch
-disjoint cache entries and key sets and add to commutative counters, so any
-order across keys that keeps each key's own order gives the same outputs.
+RECEIVE at t pops. The stable sort gives the copies the (emitter, insertion)
+order that one RECEIVE per copy would pop in, and a node first-receives the
+key at most once per wave, so the wave's relays each emit once and the
+RECEIVEs they cause keep that order too.
+
+The topology and the relay cover are functions of time, not events.
+Mobility step k (k >= 1, only while k * topo_stability_s is before the end
+of the run) takes effect at k * topo_stability_s; its snapshot is made on
+first read from snapshot k - 1 with the next draw of the mobility generator,
+and its adjacency is built on first read of it. `topo_at(t)` is the snapshot
+of the last step at or before t. `cover_at(t)` is the cover selected, on
+first read and once per snapshot, on the snapshot in effect at the last
+topology-control tick at or before t (ticks fall at multiples of
+topo_control_interval_s before the end of the run; before the first one it
+is the initial cover). "At or before" puts a step or tick at t ahead of all
+traffic at t, and a step ahead of a tick at the same instant.
+`relay_recomputes` counts the initial cover plus each tick whose snapshot
+differs from the previous tick's, from the step and tick times alone.
+
+Why one key at a time is exact. Events of different keys touch disjoint
+cache entries and key sets and add to commutative counters and metric
+cells, and the topology and cover they read depend on time only, never on
+traffic. So any interleaving of keys that keeps each key's own order gives
+the same outputs, and draining one key to its end before the next is one.
+
+Snapshots are made in index order, so each takes the same mobility draw
+whichever key reads it first. A snapshot or cover is dropped once no later
+read can need it: when a read at t makes a new snapshot, everything before
+the entry in effect at the last tick at or before min(t, next key's start)
+goes. A drain's reads never go back in time and every later key starts at
+or after the next one, so nothing dropped is read again; reading one would
+raise KeyError rather than make a wrong snapshot.
 
 The source emits on its interval for the configured duration; after the last
-scheduled second the loop keeps draining in-flight receptions and held
-retransmissions so every flood completes. Receptions are delivered to the
-neighbors the emitter had at transmission time; the `inflight=drop` flag
+scheduled second each drain keeps going through in-flight receptions and
+held retransmissions so every flood completes. Receptions are delivered to
+the neighbors the emitter had at transmission time; the `inflight=drop` flag
 instead re-checks adjacency on arrival and counts newly unreachable copies
 as lost in transit. Either way the bit-conservation identity is exact.
 
-A static run with a new key per flood (no mobility, not `repeat_seq`)
-simulates the first flood of each payload size alone, through the same
-handlers on its own queue, waves and cache, and captures its metrics writes
-at offsets from its start. Each flood of that size replays them through
-`MetricsSeries.record` at its own start and adds the flood's tallies and its
-key at the nodes that first-received it. Why this is exact: keys are
-independent, as above; a static run never reconfigures, so its topology,
-epoch and cover never change and `inflight=drop` loses nothing; times are
-integer microseconds and TTL ageing is relative to the flood's start. Only
-three things depend on absolute time: the bucket, which `record` computes
-at replay; the horizon, which `record` still checks; and the cutoff. A trace
+A static run (no mobility step) with a new key per flood drains the first
+flood of each payload size live and keeps its trace: its metrics writes at
+offsets from its start, the nodes that first-received it and what it added
+to each tally. Each later flood of that size replays the writes through
+`MetricsSeries.record` at its own start and adds the rest. Why this is
+exact: keys are independent, as above; a static run's topology and cover
+never change and `inflight=drop` loses nothing; times are integer
+microseconds and TTL ageing is relative to the flood's start. Only three
+things depend on absolute time: the bucket, which `record` computes at
+replay; the horizon, which `record` still checks; and the cutoff. A trace
 is reused only if its last write, shifted to the new start, falls before
 the cutoff, and one that truncated a relay is never kept; any other flood is
-simulated too. Traces are keyed by payload bits, so a `rate_schedule` stays
-exact.
-
-Work is done only for the snapshots traffic reads. A mobility step only moves
-the nodes; the new snapshot's adjacency is built on its first read. A
-topology-control tick that finds the cover stale only notes the current
-snapshot: the cover is selected for it when a relay-mode reception first
-needs it, so a tick replaced before any flood reads it costs no scan.
-`relay_recomputes` counts the ticks that replaced the cover.
+drained live too. Traces are keyed by payload bits, so a `rate_schedule`
+stays exact.
 """
 
 from __future__ import annotations
@@ -64,27 +87,20 @@ import dataclasses
 import heapq
 import math
 import random
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import metrics as mx
 from .errors import AccountingError, ConfigError
 from .fixtures import build_scenario_topology
 from .metrics import US, MetricsSeries
-from .protocol import (
-    DuplicateCache,
-    Packet,
-    admit,
-    expire_caches,
-    receive,
-    release_hold,
-)
-# Unused here: benches/tracer.py wraps these two by name on this module.
-from .protocol import blind_flood_on_receive, on_receive  # noqa: F401
+from .protocol import DuplicateCache, Packet, admit, receive, release_hold
+# Unused here: benches/tracer.py wraps these three by name on this module.
+from .protocol import blind_flood_on_receive, expire_caches, on_receive  # noqa: F401
 from .relays import RELAY_ORDERS, RelayAssignment, cardinality_report, select_relays
 from .topology import (
     DEFAULT_AREA_SIDE,
@@ -105,11 +121,9 @@ INFLIGHT_DROP = "drop"
 class EventKind(IntEnum):
     """Event kinds; the numeric value is the same-instant processing rank."""
 
-    TOPO_RECONFIGURE = 0
-    TOPO_CONTROL = 1
-    EMIT_FROM_SOURCE = 2
-    RELAY_EMIT = 3
-    RECEIVE = 4
+    EMIT_FROM_SOURCE = 0
+    RELAY_EMIT = 1
+    RECEIVE = 2
 
 
 class Event(NamedTuple):
@@ -260,7 +274,7 @@ _TALLIES = (
 
 
 class _Trace(NamedTuple):
-    """One flood simulated alone: its metrics writes as (offset from its
+    """One static flood drained live: its metrics writes as (offset from its
     start, nodes, bits counter, wire bits), the offset of its last write,
     the nodes that first-received it, and what it added to each tally."""
 
@@ -277,21 +291,27 @@ class _Run:
         self, cfg: SimConfig, topo: Topology, assignment: RelayAssignment | None = None
     ):
         self.cfg = cfg
-        self.topo = topo
         self.initial_topo = topo
         self.source = topo.source_id
-        self.queue = EventQueue()
         self.mobility_rng = random.Random(f"{cfg.seed}:mobility")
-        self.assignment = assignment or select_relays(topo, cfg.relay_order)
-        self.initial_assignment = self.assignment
-        # The snapshot the cover is selected on; `assignment` is None until
-        # a relay reception first reads the cover of a newly stale tick.
-        self.cover_topo = topo
-        self.relay_recomputes = 1
+        self.initial_assignment = assignment or select_relays(topo, cfg.relay_order)
+        duration = _us(cfg.sim_duration_s)
+        self.interval_us = _us(cfg.packet_interval_s)
+        # Steps and ticks fall at whole multiples of their period before the
+        # end of the run; `topo_at` and `cover_at` read them.
+        self.step_us = _us(cfg.topo_stability_s)
+        self.tick_us = _us(cfg.topo_control_interval_s)
+        moves = cfg.mobility_displacement > 0
+        self.steps = (duration - 1) // self.step_us if moves else 0
+        self.ticks = (duration - 1) // self.tick_us
+        # Snapshot index -> snapshot, and -> the cover selected on it.
+        self.snapshots = {0: topo}
+        self.covers = {0: self.initial_assignment}
+        self.next_start_us = math.inf  # the start of the key after this one
+        self.relay_recomputes = len(
+            {self._snapshot_index(j * self.tick_us) for j in range(self.ticks + 1)}
+        )
         self.hold_us = _us(cfg.hold_time_s)
-        self.cache = DuplicateCache(_us(cfg.duplicate_ttl_s))
-        # (arrival, origin, seq) -> [(emitter, pkt, receivers, topo), ...]
-        self.waves: dict[tuple[int, int, int], list] = {}
         area_side = max(
             cfg.area_side,
             max((max(n.pos[0], n.pos[1]) for n in topo.nodes.values()), default=0.0),
@@ -314,7 +334,6 @@ class _Run:
             horizon_us=_us(cfg.sim_duration_s + drain_s + ser_max + 2.0)
         )
 
-        self.seq = 0
         self.expected_bits = 0
         self.expected_packets = 0
         # Fresh cache entries written. Each would age out once the run has
@@ -322,43 +341,69 @@ class _Run:
         self.cache_evictions = 0
         self.relay_loop_violations = 0
         self.relays_truncated = 0
-        self.delivered_keys: dict[int, set] = {u: set() for u in topo.node_ids()}
-        self.relayed_keys: dict[int, set] = {u: set() for u in topo.node_ids()}
+        self.delivered: Counter[int] = Counter()  # node -> keys first-received
+        # The key being drained (see `_drain`): its queue, its waves keyed by
+        # (arrival, origin, seq), its cache, the nodes that first-received
+        # and relayed it, and where its metrics writes go.
+        self.queue = EventQueue()
+        self.waves: dict[tuple[int, int, int], list] = {}
+        self.cache = DuplicateCache(_us(cfg.duplicate_ttl_s))
+        self.reached: set[int] = set()
+        self.relayed: set[int] = set()
+        self.record = self.series.record
         # Payload bits -> the trace each flood of that size replays (see the
-        # module docstring); None takes every flood through the shared queue.
+        # module docstring); None drains every key live.
         self.traces: dict[int, _Trace] | None = (
-            {} if cfg.mobility_displacement == 0 and not cfg.repeat_seq else None
+            {} if self.steps == 0 and not cfg.repeat_seq else None
         )
 
-    # -- scheduling -----------------------------------------------------
+    # -- topology and cover over time -------------------------------------
 
-    def preload(self) -> None:
-        cfg = self.cfg
-        duration = _us(cfg.sim_duration_s)
-        interval = _us(cfg.packet_interval_s)
-        emissions = -(-duration // interval)  # ceil: every interval within run
-        for k in range(emissions):
-            self.queue.push(
-                Event(k * interval, EventKind.EMIT_FROM_SOURCE, self.source)
+    def _snapshot_index(self, now_us: int) -> int:
+        """The index of the snapshot in effect at now_us."""
+        return min(now_us // self.step_us, self.steps)
+
+    def _cover_index(self, now_us: int) -> int:
+        """The index of the snapshot the cover at now_us is selected on: the
+        one in effect at the last tick at or before now_us."""
+        tick = min(now_us // self.tick_us, self.ticks) * self.tick_us
+        return self._snapshot_index(tick)
+
+    def topo_at(self, now_us: int) -> Topology:
+        """The snapshot traffic at now_us uses."""
+        return self._snapshot(self._snapshot_index(now_us), now_us)
+
+    def cover_at(self, now_us: int) -> RelayAssignment:
+        """The relay cover traffic at now_us uses."""
+        k = self._cover_index(now_us)
+        cover = self.covers.get(k)
+        if cover is None:
+            cover = self.covers[k] = select_relays(
+                self._snapshot(k, now_us), self.cfg.relay_order
             )
-        control = _us(cfg.topo_control_interval_s)
-        t = control
-        while t < duration:
-            self.queue.push(Event(t, EventKind.TOPO_CONTROL, -1))
-            t += control
-        if cfg.mobility_displacement > 0:
-            stability = _us(cfg.topo_stability_s)
-            t = stability
-            while t < duration:
-                self.queue.push(Event(t, EventKind.TOPO_RECONFIGURE, -1))
-                t += stability
+        return cover
+
+    def _snapshot(self, k: int, now_us: int) -> Topology:
+        """Snapshot k, read at now_us. Making it makes every snapshot up to
+        it in order and drops those no later read can need."""
+        snapshots = self.snapshots
+        if k not in snapshots:
+            newest = max(snapshots)
+            topo = snapshots[newest]
+            for j in range(newest + 1, k + 1):
+                seed = self.mobility_rng.getrandbits(64)
+                topo = snapshots[j] = reconfigure(topo, self.mobility_step, seed)
+            keep = self._cover_index(min(now_us, self.next_start_us))
+            for j in [j for j in snapshots if j < keep]:
+                del snapshots[j]
+                self.covers.pop(j, None)
+        return snapshots[k]
 
     # -- traffic helpers ------------------------------------------------
 
     def _broadcast(self, emitter: int, pkt: Packet, now_us: int) -> None:
-        arrival, receivers = transmit(
-            self.topo, emitter, pkt, now_us, self.cfg.channel_bps
-        )
+        topo = self.topo_at(now_us)
+        arrival, receivers = transmit(topo, emitter, pkt, now_us, self.cfg.channel_bps)
         wire = pkt.wire_size_bits
         self.expected_bits += wire * len(receivers)
         self.expected_packets += len(receivers)
@@ -368,92 +413,40 @@ class _Run:
             if wave is None:
                 wave = self.waves[key] = []
                 self.queue.push(Event(arrival, EventKind.RECEIVE, emitter, key))
-            wave.append((emitter, pkt, receivers, self.topo))
+            wave.append((emitter, pkt, receivers, topo))
 
     # -- event handlers ---------------------------------------------------
 
     def handle_emit_from_source(self, ev: Event) -> None:
         cfg = self.cfg
-        seq = 0 if cfg.repeat_seq else self.seq
-        self.seq += 1
+        now = ev.time_us
         pkt = Packet(
             origin=self.source,
-            seq=seq,
-            payload_bits=_rate_schedule_payload(cfg, ev.time_us),
+            seq=0 if cfg.repeat_seq else now // self.interval_us,
+            payload_bits=_rate_schedule_payload(cfg, now),
             header_bits=0,
-            created_at_us=ev.time_us,
+            created_at_us=now,
         )
-        if self.traces is None:
-            self._emit(pkt)
-            return
-        trace = self.traces.get(pkt.payload_bits)
-        if trace is None or ev.time_us + trace.span >= self.cutoff_us:
-            trace = self._simulate(pkt)
-            if not trace.tallies["relays_truncated"]:
-                self.traces[pkt.payload_bits] = trace
-        self._replay(trace, ev.time_us, pkt.key)
-
-    def _emit(self, pkt: Packet) -> None:
-        now = pkt.created_at_us
         if admit(self.cache, self.source, pkt.key, now):
             self.cache_evictions += 1
-        self.series.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
+        self.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
         self._broadcast(self.source, pkt, now)
-
-    def _simulate(self, pkt: Packet) -> _Trace:
-        """Run the flood of `pkt` alone to its end, on its own queue, waves
-        and cache, and return what it wrote and added, unapplied."""
-        start, writes = pkt.created_at_us, []
-        shared = self.queue, self.waves, self.cache, self.series
-        before = {name: getattr(self, name) for name in _TALLIES}
-        self.queue, self.waves = type(self.queue)(), {}
-        self.cache = DuplicateCache(self.cache.ttl_us)
-        self.series = SimpleNamespace(
-            record=lambda now_us, *write: writes.append((now_us - start, *write))
-        )
-        self._emit(pkt)
-        self._drain()
-        self.queue, self.waves, self.cache, self.series = shared
-        tallies = {name: getattr(self, name) - value for name, value in before.items()}
-        for name, value in before.items():
-            setattr(self, name, value)
-        firsts = {
-            v for _, nodes, counter, _ in writes
-            if counter == mx.BITS_RECEIVED_FIRST for v in nodes
-        }
-        return _Trace(writes, max(w[0] for w in writes), firsts, tallies)
-
-    def _replay(self, trace: _Trace, start_us: int, key: tuple[int, int]) -> None:
-        record = self.series.record
-        for offset, nodes, counter, wire in trace.writes:
-            record(start_us + offset, nodes, counter, wire)
-        for v in trace.firsts:
-            self.delivered_keys[v].add(key)
-        for name, delta in trace.tallies.items():
-            setattr(self, name, getattr(self, name) + delta)
 
     def handle_receive(self, ev: Event) -> None:
         wave = self.waves.pop(ev.data)
         wave.sort(key=itemgetter(0))  # stable: (emitter, insertion) order
         cfg = self.cfg
         now = ev.time_us
-        drop = cfg.inflight == INFLIGHT_DROP
-        if cfg.mode == MODE_BLIND:
-            relays = None
-        else:
-            relays = self.assignment
-            if relays is None:
-                relays = self.assignment = select_relays(
-                    self.cover_topo, cfg.relay_order
-                )
+        relays = None if cfg.mode == MODE_BLIND else self.cover_at(now)
+        current = self.topo_at(now) if cfg.inflight == INFLIGHT_DROP else None
         # Per distinct copy: [lost, duplicates, first receptions, relaying].
         outcomes: dict[Packet, list[list[int]]] = {}
         for emitter, pkt, receivers, emit_topo in wave:
             group = outcomes.get(pkt)
             if group is None:
                 group = outcomes[pkt] = [[], [], [], []]
-            if drop and emit_topo.epoch != self.topo.epoch:
-                adjacency = self.topo.adjacency
+            if current is not None and emit_topo.epoch != current.epoch:
+                adjacency = current.adjacency
                 lost = [v for v in receivers if emitter not in adjacency[v]]
                 if lost:
                     group[0] += lost
@@ -465,18 +458,16 @@ class _Run:
             group[1] += dups
             group[2] += firsts
             group[3] += relaying
-        key = wave[0][1].key
         emits = []
         for pkt, (lost, dups, firsts, relaying) in outcomes.items():
-            for v in firsts:
-                self.delivered_keys[v].add(key)
+            self.reached.update(firsts)
             # `receive` wrote seen[key] = now at each first reception: a
             # fresh entry.
             self.cache_evictions += len(firsts)
             wire = pkt.wire_size_bits
-            self.series.record(now, lost, mx.BITS_LOST, wire)
-            self.series.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
-            self.series.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
+            self.record(now, lost, mx.BITS_LOST, wire)
+            self.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
+            self.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
             if relaying:
                 emits.append((pkt, relaying))
         if emits:
@@ -488,47 +479,72 @@ class _Run:
         if now >= self.cutoff_us:
             self.relays_truncated += sum(len(nodes) for _, nodes in ev.data)
             return
+        relayed = self.relayed
         for pkt, nodes in ev.data:
             out = release_hold(pkt, self.cfg.header_bits_per_relay)
-            self.series.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
-            key = out.key
+            self.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
             for node in nodes:
-                relayed = self.relayed_keys[node]
-                if key in relayed:
+                if node in relayed:
                     self.relay_loop_violations += 1
-                relayed.add(key)
+                relayed.add(node)
                 self._broadcast(node, out, now)
-
-    def handle_topo_control(self, ev: Event) -> None:
-        if self.cover_topo.epoch != self.topo.epoch:
-            self.cover_topo = self.topo
-            self.assignment = None
-            self.relay_recomputes += 1
-        # `admit` already ignores aged entries; sweeping them only bounds
-        # each cache to the keys of the last TTL plus one control interval.
-        expire_caches(self.cache, ev.time_us)
-
-    def handle_topo_reconfigure(self, _ev: Event) -> None:
-        seed = self.mobility_rng.getrandbits(64)
-        self.topo = reconfigure(self.topo, self.mobility_step, seed)
 
     # -- main loop --------------------------------------------------------
 
     def execute(self) -> MetricsSeries:
-        self.preload()
-        self._drain()
+        starts = range(0, _us(self.cfg.sim_duration_s), self.interval_us)
+        keys = [starts] if self.cfg.repeat_seq else [[s] for s in starts]
+        for i, floods in enumerate(keys):
+            self.next_start_us = keys[i + 1][0] if i + 1 < len(keys) else math.inf
+            if self.traces is None:
+                reached = self._drain(floods, self.series.record)
+            else:
+                reached = self._flood(floods[0])
+            self.delivered.update(reached)
         self._finalize()
         return self.series
 
-    def _drain(self) -> None:
-        """Handle the events of `self.queue` in order until it is empty."""
-        queue = self.queue
+    def _flood(self, start: int) -> set[int]:
+        """One flood of a static run: replay the trace of its payload size,
+        or drain it live and keep its trace. Returns the nodes that
+        first-received it."""
+        payload = _rate_schedule_payload(self.cfg, start)
+        trace = self.traces.get(payload)
+        record = self.series.record
+        if trace is not None and start + trace.span < self.cutoff_us:
+            for offset, nodes, counter, wire in trace.writes:
+                record(start + offset, nodes, counter, wire)
+            for name, delta in trace.tallies.items():
+                setattr(self, name, getattr(self, name) + delta)
+            return trace.firsts
+        writes = []
+
+        def capture(now_us, *write):
+            writes.append((now_us - start, *write))
+            record(now_us, *write)
+
+        before = {name: getattr(self, name) for name in _TALLIES}
+        reached = self._drain([start], capture)
+        tallies = {name: getattr(self, name) - value for name, value in before.items()}
+        if not tallies["relays_truncated"]:
+            span = max(w[0] for w in writes)
+            self.traces[payload] = _Trace(writes, span, reached, tallies)
+        return reached
+
+    def _drain(self, starts: Collection[int], record) -> set[int]:
+        """Drain the key whose floods start at `starts` on a fresh queue (of
+        the run's queue class), waves and cache, writing through `record`.
+        Returns the nodes that first-received the key."""
+        queue = self.queue = type(self.queue)()
+        self.waves = {}
+        self.cache = DuplicateCache(self.cache.ttl_us)
+        self.reached, self.relayed, self.record = set(), set(), record
+        for start in starts:
+            queue.push(Event(start, EventKind.EMIT_FROM_SOURCE, self.source))
         handlers = {
             EventKind.EMIT_FROM_SOURCE: self.handle_emit_from_source,
             EventKind.RECEIVE: self.handle_receive,
             EventKind.RELAY_EMIT: self.handle_relay_emit,
-            EventKind.TOPO_CONTROL: self.handle_topo_control,
-            EventKind.TOPO_RECONFIGURE: self.handle_topo_reconfigure,
         }
         last_us = 0
         while (ev := queue.pop()) is not None:
@@ -536,6 +552,7 @@ class _Run:
                 raise AccountingError("event time went backwards")
             last_us = ev.time_us
             handlers[ev.kind](ev)
+        return self.reached
 
     def _finalize(self) -> None:
         series = self.series
@@ -564,9 +581,9 @@ class _Run:
         # them the t=0 topology could reach at all.
         others = set(self.initial_topo.node_ids()) - {self.source}
         reachable = reachable_from(self.initial_topo, self.source) - {self.source}
-        delivering = [u for u in sorted(others) if self.delivered_keys[u]]
+        delivering = [u for u in sorted(others) if self.delivered[u]]
         coverage = len(delivering) / len(others) if others else 1.0
-        distinct = [len(self.delivered_keys[u]) for u in sorted(reachable)]
+        distinct = [self.delivered[u] for u in sorted(reachable)]
 
         card = cardinality_report(self.initial_topo, self.initial_assignment)
         cfg = self.cfg

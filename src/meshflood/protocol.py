@@ -18,13 +18,13 @@ The engine applies both rules with `receive`, once per broadcast copy over
 all of its receivers. `on_receive` and `blind_flood_on_receive` decide a
 single reception; they are the reference the batch form is tested against.
 
-One `DuplicateCache` holds every node's first-seen times under the run's one
-TTL, key-major: `seen[(origin, seq)][node]`. A broadcast copy reads one key's
-dict once for all of its receivers, and each key tuple is stored once, not
-once per node. Entries age lazily: `admit` and `receive` treat an entry older
-than the TTL as absent and overwrite it, and the engine sweeps the aged
-entries out with one `expire_caches` call at each topology-control tick to
-keep the cache bounded; a key whose entries have all aged goes whole.
+A `DuplicateCache` holds every node's first-seen times under one TTL,
+key-major: `seen[(origin, seq)][node]`. A broadcast copy reads one key's dict
+once for all of its receivers, and each key tuple is stored once, not once
+per node. Entries age lazily: `admit` and `receive` treat an entry older
+than the TTL as absent and overwrite it. The engine gives each packet key's
+drain its own cache and drops it with the drain, so it never sweeps;
+`expire_caches` drops the aged entries of a cache that outlives them.
 
 All time arguments are integer microseconds.
 """

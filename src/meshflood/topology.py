@@ -199,17 +199,12 @@ def build_topology(nodes: list[Node], radio_range: float) -> Topology:
     return Topology(node_map, radio_range, edges=adjacency)
 
 
-def one_hop(t: Topology, u: int) -> frozenset[int]:
-    """Direct neighbors of `u`."""
-    try:
-        return t.adjacency[u]
-    except KeyError:
-        raise UnknownNodeError(u) from None
-
-
 def two_hop(t: Topology, u: int) -> frozenset[int]:
     """Nodes reachable in exactly two hops from `u` (never one, never zero)."""
-    direct = one_hop(t, u)
+    try:
+        direct = t.adjacency[u]
+    except KeyError:
+        raise UnknownNodeError(u) from None
     reached: set[int] = set()
     for mid in direct:
         reached.update(t.adjacency[mid])

@@ -43,18 +43,21 @@ def test_traced_child_run_matches_untraced(tmp_path, mode):
     assert traced["digests"] == plain["digests"]
 
 
-def test_traced_sweep_is_one_call_per_control_tick(tmp_path):
-    # Mobile, so every flood's cache entries age in the run's one cache: a
-    # static run simulates a flood alone, ahead of the ticks, with its own.
+def test_traced_mobile_run_has_no_sweep_and_no_topology_events(tmp_path):
+    # Mobile, so every flood's key is drained live. Steps and ticks are
+    # read off the clock, and each key's cache goes with its drain.
     text = (
         "mode = relay\nfixture = grid:25\nnode_count = 25\n"
         "duplicate_ttl_s = 6\nsim_duration_s = 30\n"
         "mobility_displacement = 20\ntopo_stability_s = 5\n"
     )
     layers = run_child(tmp_path / "traced", True, text)["layers"]
-    assert layers["engine.events.TOPO_CONTROL"] > 0
-    assert layers["protocol.expire_calls"] == layers["engine.events.TOPO_CONTROL"]
-    assert layers["protocol.evicted_keys"] > 0
+    assert layers["topology.reconfigure_calls"] > 0
+    assert layers["engine.events.RECEIVE"] > 0
+    assert layers["engine.events.TOPO_RECONFIGURE"] == 0
+    assert layers["engine.events.TOPO_CONTROL"] == 0
+    assert layers["protocol.expire_calls"] == 0
+    assert layers["protocol.evicted_keys"] == 0
     assert layers["protocol.force_flushed"] == 0
 
 
@@ -62,7 +65,7 @@ def test_traced_blind_run_releases_once_per_broadcast_hop(tmp_path):
     # One RELAY_EMIT per RECEIVE that has relaying nodes, each with one
     # release_hold call, so a blind grid (several relays per hop) has fewer
     # of them than relayed or truncated copies. Mobile, so every flood's
-    # events pop: a static run simulates one flood and replays the rest.
+    # events pop: a static run drains one flood live and replays the rest.
     text = (
         "mode = blind\nfixture = grid:25\nnode_count = 25\nsim_duration_s = 20\n"
         "mobility_displacement = 20\ntopo_stability_s = 5\n"

@@ -1,10 +1,10 @@
+import bisect
 import dataclasses
 import heapq
 import itertools
 import math
 import random
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from meshflood.engine import (
 from meshflood.errors import AccountingError, ConfigError, ProtocolViolationError
 from meshflood.fixtures import fig3_topology, path_topology, random_connected_topology
 from meshflood.metrics import export_csv, export_summary
-from meshflood.protocol import Packet, expire_caches
+from meshflood.protocol import Packet
 from meshflood.relays import select_relays
 from meshflood.topology import MobilityStep, reconfigure
 from readers import node_totals
@@ -41,10 +41,12 @@ from readers import node_totals
 class TestEventQueue:
     def test_same_instant_kind_rank_orders_pops(self):
         q = EventQueue()
+        q.push(Event(4_000_000, EventKind.RECEIVE, 1))
         q.push(Event(4_000_000, EventKind.RELAY_EMIT, 1))
-        q.push(Event(4_000_000, EventKind.TOPO_CONTROL, 1))
-        assert q.pop().kind is EventKind.TOPO_CONTROL
+        q.push(Event(4_000_000, EventKind.EMIT_FROM_SOURCE, 1))
+        assert q.pop().kind is EventKind.EMIT_FROM_SOURCE
         assert q.pop().kind is EventKind.RELAY_EMIT
+        assert q.pop().kind is EventKind.RECEIVE
 
     def test_subject_breaks_ties_within_kind(self):
         q = EventQueue()
@@ -261,37 +263,44 @@ MOBILE_DROP = SimConfig(
 )
 
 
+def us(seconds):
+    return round(seconds * mx.US)
+
+
 class EagerRun(_Run):
-    """Builds the adjacency of every mobility snapshot when it is made and
-    selects the cover at every stale topology-control tick: the lazy
+    """Makes every mobility snapshot of the run, with its adjacency, and
+    selects a cover at every topology-control tick whose snapshot changed,
+    dropping nothing, by walking the step and tick times in order: the lazy
     engine's reference."""
-
-    def handle_topo_reconfigure(self, ev):
-        super().handle_topo_reconfigure(ev)
-        self.topo.adjacency
-
-    def handle_topo_control(self, ev):
-        if self.assignment.epoch != self.topo.epoch:
-            self.assignment = select_relays(self.topo, self.cfg.relay_order)
-            self.relay_recomputes += 1
-        expire_caches(self.cache, ev.time_us)
-
-
-class Snapshots(_Run):
-    """Keeps every snapshot of the run and the epochs broadcasts used."""
 
     def __init__(self, cfg, topo):
         super().__init__(cfg, topo)
-        self.snapshots = [topo]
-        self.broadcast_epochs = set()
+        duration = us(cfg.sim_duration_s)
+        self.step_times, self.steps_made = [0], [topo]
+        step = us(cfg.topo_stability_s)
+        steps = range(step, duration, step) if cfg.mobility_displacement > 0 else ()
+        for t in steps:
+            seed = self.mobility_rng.getrandbits(64)
+            snap = reconfigure(self.steps_made[-1], self.mobility_step, seed)
+            snap.adjacency
+            self.step_times.append(t)
+            self.steps_made.append(snap)
+        self.tick_times, self.tick_covers = [0], [self.initial_assignment]
+        cover_snap = topo
+        control = us(cfg.topo_control_interval_s)
+        for t in range(control, duration, control):
+            snap = self.topo_at(t)
+            if snap is not cover_snap:
+                cover_snap = snap
+                self.tick_times.append(t)
+                self.tick_covers.append(select_relays(snap, cfg.relay_order))
+        self.relay_recomputes = len(self.tick_covers)
 
-    def handle_topo_reconfigure(self, ev):
-        super().handle_topo_reconfigure(ev)
-        self.snapshots.append(self.topo)
+    def topo_at(self, now_us):
+        return self.steps_made[bisect.bisect_right(self.step_times, now_us) - 1]
 
-    def _broadcast(self, emitter, pkt, now_us):
-        self.broadcast_epochs.add(self.topo.epoch)
-        super()._broadcast(emitter, pkt, now_us)
+    def cover_at(self, now_us):
+        return self.tick_covers[bisect.bisect_right(self.tick_times, now_us) - 1]
 
 
 class PerBroadcastRun(_Run):
@@ -305,14 +314,13 @@ class PerBroadcastRun(_Run):
         self.broadcasts = itertools.count()
 
     def _broadcast(self, emitter, pkt, now_us):
-        arrival, receivers = transmit(
-            self.topo, emitter, pkt, now_us, self.cfg.channel_bps
-        )
+        topo = self.topo_at(now_us)
+        arrival, receivers = transmit(topo, emitter, pkt, now_us, self.cfg.channel_bps)
         self.expected_bits += pkt.wire_size_bits * len(receivers)
         self.expected_packets += len(receivers)
         if receivers:
             key = (arrival, pkt.origin, pkt.seq, next(self.broadcasts))
-            self.waves[key] = [(emitter, pkt, receivers, self.topo)]
+            self.waves[key] = [(emitter, pkt, receivers, topo)]
             self.queue.push(Event(arrival, EventKind.RECEIVE, emitter, key))
 
 
@@ -342,8 +350,8 @@ class PerNodeRelayQueue(EventQueue):
 
 
 class EventPath:
-    """Takes every flood through the run's shared event queue, as mobile and
-    `repeat_seq` runs do: the reference of the static runs' replay."""
+    """Drains every key live, as mobile and `repeat_seq` runs do: the
+    reference of the static runs' replay."""
 
     def __init__(self, cfg, topo):
         super().__init__(cfg, topo)
@@ -362,19 +370,46 @@ class EventPathDescending(EventPath, DescendingWaves):
     pass
 
 
-class SimulationCount(_Run):
-    """Counts the floods the run simulates alone."""
+class DrainCount(_Run):
+    """Counts the keys the run drains live."""
 
-    simulated = 0
+    drained = 0
 
-    def _simulate(self, pkt):
-        self.simulated += 1
-        return super()._simulate(pkt)
+    def _drain(self, starts, record):
+        self.drained += 1
+        return super()._drain(starts, record)
+
+
+class SharedQueueRun(_Run):
+    """Drains every key on one queue with one duplicate cache, as one event
+    loop over the whole run would, keeping each key's node sets apart. The
+    topology and cover still come from `topo_at`/`cover_at`, which never
+    read back in time here. The reference of the per-key split."""
+
+    def execute(self):
+        self.key_sets = {}
+        duration = us(self.cfg.sim_duration_s)
+        self._drain(range(0, duration, self.interval_us), self.series.record)
+        for reached, _ in self.key_sets.values():
+            self.delivered.update(reached)
+        self._finalize()
+        return self.series
+
+    def handle_receive(self, ev):
+        self.use_key(ev.data[1:3])
+        super().handle_receive(ev)
+
+    def handle_relay_emit(self, ev):
+        self.use_key(ev.data[0][0].key)
+        super().handle_relay_emit(ev)
+
+    def use_key(self, key):
+        self.reached, self.relayed = self.key_sets.setdefault(key, (set(), set()))
 
 
 def pop_log():
-    """A queue class and the list that its instances, a run's queue and the
-    queue of each flood the run simulates alone, log every popped event to."""
+    """A queue class and the list that its instances, the queue of each key
+    a run drains, log every popped event to."""
     popped = []
 
     class PopLog(EventQueue):
@@ -387,24 +422,27 @@ def pop_log():
     return PopLog, popped
 
 
-class RankedQueue:
-    """Pops same-instant events of one kind by `rank(event)` before the
-    subject; the real queue's (subject, insertion) order breaks ties."""
+def ranked_queue(rank):
+    """A queue that pops same-instant events of one kind by `rank(event)`
+    before the subject; the real queue's (subject, insertion) order breaks
+    ties. A run makes each key's queue of its queue's class."""
 
-    def __init__(self, rank):
-        self.rank = rank
-        self.heap = []
-        self.pushed = itertools.count()
+    class RankedQueue:
+        def __init__(self):
+            self.heap = []
+            self.pushed = itertools.count()
 
-    def __len__(self):
-        return len(self.heap)
+        def __len__(self):
+            return len(self.heap)
 
-    def push(self, event):
-        key = (event.time_us, event.kind, self.rank(event), event.subject)
-        heapq.heappush(self.heap, key + (next(self.pushed), event))
+        def push(self, event):
+            key = (event.time_us, event.kind, rank(event), event.subject)
+            heapq.heappush(self.heap, key + (next(self.pushed), event))
 
-    def pop(self):
-        return heapq.heappop(self.heap)[-1] if self.heap else None
+        def pop(self):
+            return heapq.heappop(self.heap)[-1] if self.heap else None
+
+    return RankedQueue()
 
 
 def event_key(ev):
@@ -518,15 +556,19 @@ class TestRun:
         scheduled = SimConfig(
             fixture="grid:25", rate_schedule=((0.0, 2000), (4.0, 900)), sim_duration_s=20
         )
-        for cfg, topo, floods in (
+        # A mobile run drains every key live: one per flood, or one for all
+        # of a `repeat_seq` run's floods.
+        repeated = dataclasses.replace(MOBILE_DROP, repeat_seq=True)
+        for cfg, topo, drained in (
             (relay, scenario_topology(relay), 1),
             (blind, random_connected_topology(400, 0), 1),
             (scheduled, scenario_topology(scheduled), 2),
-            (MOBILE_DROP, scenario_topology(MOBILE_DROP), 0),
+            (MOBILE_DROP, scenario_topology(MOBILE_DROP), 30),
+            (repeated, scenario_topology(repeated), 1),
         ):
-            r = SimulationCount(cfg, topo)
+            r = DrainCount(cfg, topo)
             r.execute()
-            assert r.simulated == floods, cfg
+            assert r.drained == drained, cfg
 
     def test_handler_overrides_run_inside_a_simulated_flood(self):
         # Copies of one key meet at one instant in this static run, so taking
@@ -549,19 +591,18 @@ class TestRun:
     @given(scheduled_configs(), st.integers(0, 2**32))
     # Copies of one key meet at one instant here; see the next test.
     @example(MOBILE_DROP, 0)
-    def test_same_instant_order_across_keys_leaves_outputs_unchanged(
-        self, cfg, salt
-    ):
-        # On one RECEIVE per broadcast, where one key has several events at
-        # an instant, and on the waves themselves.
-        # The shared queue is where keys meet, so the ranked runs take it for
-        # every flood; a static run's replay is checked against it below.
+    # One key for every flood, so its copies meet across floods.
+    @example(SimConfig(fixture="fig3", repeat_seq=True, sim_duration_s=30), 0)
+    def test_shared_queue_matches_the_per_key_drains(self, cfg, salt):
+        # Every key's events on one queue, in a salted order across keys
+        # and the real order within each, give the per-key drains' outputs.
         cfg.validate()
         topo = scenario_topology(cfg)
-        expected = output_bytes(_Run(cfg, topo).execute())
-        for ranked in (EventPathPerBroadcast(cfg, topo), EventPathRun(cfg, topo)):
-            ranked.queue = RankedQueue(per_key_rank(salt))
-            assert output_bytes(ranked.execute()) == expected, type(ranked)
+        shared = SharedQueueRun(cfg, topo)
+        shared.queue = ranked_queue(per_key_rank(salt))
+        assert output_bytes(shared.execute()) == output_bytes(
+            _Run(cfg, topo).execute()
+        )
 
     def test_order_within_one_key_matters(self):
         # Copies of one key that arrive at one instant from different
@@ -573,11 +614,11 @@ class TestRun:
         expected = output_bytes(_Run(cfg, topo).execute())
         rng = random.Random(0)
         key_blind = PerBroadcastRun(cfg, topo)
-        key_blind.queue = RankedQueue(lambda ev: rng.random())
+        key_blind.queue = ranked_queue(lambda ev: rng.random())
         assert output_bytes(key_blind.execute()) != expected
         assert output_bytes(DescendingWaves(cfg, topo).execute()) != expected
         per_key = PerBroadcastRun(cfg, topo)
-        per_key.queue = RankedQueue(per_key_rank(0))
+        per_key.queue = ranked_queue(per_key_rank(0))
         assert output_bytes(per_key.execute()) == expected
 
     @pytest.mark.parametrize(
@@ -590,8 +631,8 @@ class TestRun:
         ids=["blind-grid25", "relay-grid25", "mobile-drop"],
     )
     def test_one_receive_per_instant_and_key(self, cfg):
-        # A static run pops a simulated flood's events from that flood's own
-        # queue, which the log sees too; its event path is checked as well.
+        # Each key's drain pops from its own queue of the run's queue class,
+        # which the log sees; a static run's live path is checked as well.
         topo = scenario_topology(cfg)
         for classes in ((_Run, PerBroadcastRun), (EventPathRun, EventPathPerBroadcast)):
             logs = []
@@ -692,7 +733,7 @@ class TestRun:
 
     def test_only_snapshots_traffic_reads_are_built(self, monkeypatch):
         # Nine mobility steps and nine ticks that find the cover stale, but
-        # the floods at 0 s and 10 s each finish within two seconds.
+        # the floods at 0 s and 10 s each finish within a few seconds.
         cfg = SimConfig(
             placement="uniform",
             node_count=30,
@@ -708,7 +749,10 @@ class TestRun:
         )
         built = []  # the node maps whose disk adjacency was built
         selected = []  # the epochs a cover was selected for
+        made = []  # the snapshots mobility steps made
+        broadcast_epochs = set()
         disk_adjacency, select = topology._disk_adjacency, engine.select_relays
+        step = engine.reconfigure
 
         def counting_disk_adjacency(nodes, radio_range):
             built.append(nodes)
@@ -718,23 +762,38 @@ class TestRun:
             selected.append(t.epoch)
             return select(t, order)
 
+        def counting_reconfigure(t, mobility, seed):
+            made.append(step(t, mobility, seed))
+            return made[-1]
+
+        class Broadcasts(_Run):
+            def _broadcast(self, emitter, pkt, now_us):
+                broadcast_epochs.add(self.topo_at(now_us).epoch)
+                super()._broadcast(emitter, pkt, now_us)
+
         monkeypatch.setattr(topology, "_disk_adjacency", counting_disk_adjacency)
         monkeypatch.setattr(engine, "select_relays", counting_select)
-        r = Snapshots(cfg, scenario_topology(cfg))
+        monkeypatch.setattr(engine, "reconfigure", counting_reconfigure)
+        initial = scenario_topology(cfg)
+        r = Broadcasts(cfg, initial)
         r.execute()
 
-        reconfigures = len(r.snapshots) - 1
-        assert reconfigures == 9
+        assert r.relay_recomputes == 10  # the initial cover and nine ticks
+        # Made in order, up to the newest one a read needed; the steps
+        # after the 10 s flood's last read are never made.
+        assert [snap.epoch for snap in made] == list(range(1, len(made) + 1))
+        assert len(made) < 9
+        assert max(broadcast_epochs | set(selected)) == len(made)
         assert len(selected) < r.relay_recomputes
-        assert len(built) < reconfigures
+        assert len(built) < len(made)
         builds = {
             snap.epoch: sum(nodes is snap.nodes for nodes in built)
-            for snap in r.snapshots
+            for snap in [initial, *made]
         }
-        for epoch in r.broadcast_epochs:
+        for epoch in broadcast_epochs:
             assert builds[epoch] == 1, epoch
         # Only the snapshots traffic or a cover selection read were built.
-        read = r.broadcast_epochs | set(selected)
+        read = broadcast_epochs | set(selected)
         assert {epoch for epoch, n in builds.items() if n} == read
         assert sum(builds.values()) == len(built)
 
@@ -783,18 +842,22 @@ class TestRun:
         series = run(SimConfig(fixture="fig3", sim_duration_s=300, packet_interval_s=2))
         assert series.meta["source_emissions"] == 150
 
-    def test_topology_control_sweep_bounds_the_duplicate_cache(self):
-        # 300 floods; without the sweep every node would keep all 300 keys.
+    @pytest.mark.parametrize("repeat_seq", [False, True])
+    @pytest.mark.parametrize("mobility", [0.0, 40.0])
+    def test_no_duplicate_cache_holds_a_second_key(self, repeat_seq, mobility):
+        # 300 floods; one cache shared by every key would end up holding
+        # all 300, since aged entries are never swept.
         cfg = SimConfig(
             fixture="grid:9",
             packet_interval_s=2.0,
-            topo_control_interval_s=5.0,
             duplicate_ttl_s=30.0,
             hold_time_s=0.5,
+            mobility_displacement=mobility,
+            repeat_seq=repeat_seq,
             sim_duration_s=600,
         )
 
-        # On the shared queue, where every flood's keys meet in one cache.
+        # Live, so every flood's key is drained.
         class PeakCache(EventPathRun):
             peak = 0
 
@@ -807,19 +870,49 @@ class TestRun:
                 self.note_peak()
 
             def note_peak(self):
-                held = Counter(v for seen in self.cache.seen.values() for v in seen)
-                self.peak = max(self.peak, max(held.values(), default=0))
+                self.peak = max(self.peak, len(self.cache.seen))
 
         r = PeakCache(cfg, scenario_topology(cfg))
         r.execute()
         assert r.series.meta["source_emissions"] == 300
-        # One key per flood within a TTL plus a control interval, and one
-        # more from floods still arriving after the last sweep.
-        bound = math.ceil(
-            (cfg.duplicate_ttl_s + cfg.topo_control_interval_s)
-            / cfg.packet_interval_s
-        ) + 1
-        assert 0 < r.peak <= bound
+        assert r.peak == 1
+
+    @pytest.mark.parametrize("repeat_seq", [False, True])
+    def test_snapshot_table_stays_small_on_a_long_mobile_run(self, repeat_seq):
+        # 149 mobility steps, 59 ticks and 100 floods, each flood done
+        # within a few seconds.
+        cfg = SimConfig(
+            placement="uniform",
+            node_count=40,
+            radio_range=150.0,
+            seed=1,
+            mobility_displacement=20.0,
+            topo_stability_s=2.0,
+            topo_control_interval_s=5.0,
+            packet_interval_s=3.0,
+            hold_time_s=0.5,
+            duplicate_ttl_s=5.0,
+            repeat_seq=repeat_seq,
+            sim_duration_s=300,
+        )
+
+        class PeakTable(_Run):
+            peak = 0
+
+            def _snapshot(self, k, now_us):
+                snap = super()._snapshot(k, now_us)
+                held = max(len(self.snapshots), len(self.covers))
+                self.peak = max(self.peak, held)
+                return snap
+
+        r = PeakTable(cfg, scenario_topology(cfg))
+        r.execute()
+        assert max(r.snapshots) > 140
+        assert r.relay_recomputes == 60
+        # What a later read can need spans from the last tick before the
+        # next flood's start to the latest read: a tick interval plus how
+        # far a flood runs past the next start, 2 s steps apart.
+        assert 0 < r.peak <= 5
 
     def test_lost_copies_missing_from_the_series_break_conservation(self):
         # It loses copies in transit, so a series that never stores them
@@ -847,12 +940,18 @@ class TestRun:
         cfg = SimConfig(fixture="fig3", mode=mode, sim_duration_s=10)
         topo = scenario_topology(cfg)
         assert 2 not in topo.adjacency[4]
-        r = _Run(cfg, topo)
-        pkt = Packet(origin=0, seq=99)
-        r.waves[(0, 0, 99)] = [(2, pkt, (4,), topo)]
-        r.queue.push(Event(0, EventKind.RECEIVE, 2, data=(0, 0, 99)))
+
+        class StrayCopy(_Run):
+            # A source emission also queues a copy that node 4 hears from 2.
+            def handle_emit_from_source(self, ev):
+                super().handle_emit_from_source(ev)
+                pkt = Packet(origin=0, seq=99)
+                key = (ev.time_us, 0, 99)
+                self.waves[key] = [(2, pkt, (4,), topo)]
+                self.queue.push(Event(ev.time_us, EventKind.RECEIVE, 2, data=key))
+
         with pytest.raises(ProtocolViolationError, match="node 4 heard non-neighbor 2"):
-            r.execute()
+            StrayCopy(cfg, topo).execute()
 
     def test_static_run_recomputes_relays_once(self):
         series = run(SimConfig(fixture="grid:25", sim_duration_s=40))

@@ -14,7 +14,6 @@ from meshflood.topology import (
     build_topology,
     grid_spacing,
     is_connected,
-    one_hop,
     place_nodes,
     reconfigure,
     save_topology,
@@ -148,13 +147,11 @@ class TestNeighborhoods:
             t = random_disk_topology(25, seed, radio_range=150.0)
             for u in t.node_ids():
                 hops2 = two_hop(t, u)
-                assert not hops2 & one_hop(t, u)
+                assert not hops2 & t.adjacency[u]
                 assert u not in hops2
 
     def test_unknown_node_rejected(self):
         t = path3()
-        with pytest.raises(UnknownNodeError):
-            one_hop(t, 99)
         with pytest.raises(UnknownNodeError):
             two_hop(t, 99)
 
