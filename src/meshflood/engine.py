@@ -8,27 +8,34 @@ one at a time, in start order. A key's drain pushes the source emissions of
 its floods on a fresh `EventQueue` and handles events until the queue is
 empty, with its own waves, its own `DuplicateCache` and its own sets of the
 nodes that first-received the key and that relayed it; the run keeps one
-delivery count per node. Equal-time events of a drain are totally ordered by
-(kind rank, subject id, insertion counter):
+delivery count per node. A drain's events pop in (time, kind rank) order:
 
     EMIT_FROM_SOURCE < RELAY_EMIT < RECEIVE
 
 One RECEIVE serves a wave: every copy of the key that arrives at one
 instant. A broadcast appends `(emitter, packet, receivers, topology)` to the
-wave keyed by `(arrival, origin, seq)`, and the wave's first append pushes
-its RECEIVE, whose data is that key. The RECEIVE sorts the wave stably by
+wave keyed by its arrival time, and the wave's first append pushes its
+RECEIVE, which carries no data. The RECEIVE sorts the wave stably by
 emitter and takes each copy in turn, then writes each outcome once per
 distinct packet copy and pushes at most one RELAY_EMIT, carrying one
 `(packet, relaying nodes)` entry per distinct copy that has relays.
 
-Why waves are exact. A wave is complete before its RECEIVE pops: a copy
-arriving at t is sent at or before t, and the emissions of instant t (source
-emissions and RELAY_EMITs) rank before its RECEIVEs; every RELAY_EMIT at t
-comes from a wave at t - hold with hold >= 1 us, so it is queued before any
-RECEIVE at t pops. The stable sort gives the copies the (emitter, insertion)
-order that one RECEIVE per copy would pop in, and a node first-receives the
-key at most once per wave, so the wave's relays each emit once and the
-RECEIVEs they cause keep that order too.
+The invariant: no drain has two events at one (time, kind), so no tie is
+ever broken. Proof. A wave is complete before its RECEIVE pops: a copy
+arriving at t is sent at or before t, the emissions of instant t (source
+emissions and RELAY_EMITs) rank before its RECEIVE, and every RELAY_EMIT at
+t comes from the RECEIVE at t - hold with hold >= 1 us, so it is queued
+before any event at t pops. So each arrival instant has one wave and one
+RECEIVE. Each RECEIVE pushes at most one RELAY_EMIT, at its instant plus the
+one hold, so no two RELAY_EMITs share a time, and a key's floods start at
+distinct times. `EventQueue.push` raises AccountingError on an event that
+ties a queued one or does not come after the last pop, so a change that
+breaks the invariant fails the run instead of being ordered silently.
+
+Why waves are exact. The stable sort gives the copies the (emitter,
+insertion) order that one RECEIVE per copy would pop in, and a node
+first-receives the key at most once per wave, so the wave's relays each emit
+once and the RECEIVEs they cause keep that order too.
 
 The topology and the relay cover are functions of time, not events.
 Mobility step k (k >= 1, only while k * topo_stability_s is before the end
@@ -45,8 +52,8 @@ traffic at t, and a step ahead of a tick at the same instant.
 differs from the previous tick's, from the step and tick times alone.
 
 Why one key at a time is exact. Events of different keys touch disjoint
-cache entries and key sets and add to commutative counters and metric
-cells, and the topology and cover they read depend on time only, never on
+caches and node sets and add to commutative counters and metric cells,
+and the topology and cover they read depend on time only, never on
 traffic. So any interleaving of keys that keeps each key's own order gives
 the same outputs, and draining one key to its end before the next is one.
 
@@ -99,7 +106,8 @@ from .errors import AccountingError, ConfigError
 from .fixtures import build_scenario_topology
 from .metrics import US, MetricsSeries
 from .protocol import DuplicateCache, Packet, admit, receive, release_hold
-# Unused here: benches/tracer.py wraps these three by name on this module.
+# Unused here: benches/tracer.py wraps these three by name on this module,
+# until its fix of ROADMAP direction 1 wraps `receive` instead.
 from .protocol import blind_flood_on_receive, expire_caches, on_receive  # noqa: F401
 from .relays import RELAY_ORDERS, RelayAssignment, cardinality_report, select_relays
 from .topology import (
@@ -129,29 +137,35 @@ class EventKind(IntEnum):
 class Event(NamedTuple):
     time_us: int
     kind: EventKind
-    subject: int
     data: tuple = ()
 
 
 class EventQueue:
-    """Priority queue over (time, kind rank, subject, insertion counter)."""
+    """Priority queue over (time, kind rank), one event per pair: a push that
+    ties a queued event or does not come after the last pop raises."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, int, int, Event]] = []
-        self._counter = 0
+        self._heap: list[tuple[int, int]] = []
+        self._events: dict[tuple[int, int], Event] = {}
+        self._popped = (-1, -1)
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def push(self, event: Event) -> None:
-        key = (event.time_us, int(event.kind), event.subject, self._counter)
-        heapq.heappush(self._heap, key + (event,))
-        self._counter += 1
+        key = (event.time_us, event.kind)
+        if key in self._events or key <= self._popped:
+            raise AccountingError(
+                f"{event.kind.name} at {event.time_us} us ties or precedes an event"
+            )
+        self._events[key] = event
+        heapq.heappush(self._heap, key)
 
     def pop(self) -> Event | None:
         if not self._heap:
             return None
-        return heapq.heappop(self._heap)[4]
+        key = self._popped = heapq.heappop(self._heap)
+        return self._events.pop(key)
 
 
 @dataclass(frozen=True)
@@ -343,10 +357,10 @@ class _Run:
         self.relays_truncated = 0
         self.delivered: Counter[int] = Counter()  # node -> keys first-received
         # The key being drained (see `_drain`): its queue, its waves keyed by
-        # (arrival, origin, seq), its cache, the nodes that first-received
-        # and relayed it, and where its metrics writes go.
+        # arrival time, its cache, the nodes that first-received and relayed
+        # it, and where its metrics writes go.
         self.queue = EventQueue()
-        self.waves: dict[tuple[int, int, int], list] = {}
+        self.waves: dict[int, list] = {}
         self.cache = DuplicateCache(_us(cfg.duplicate_ttl_s))
         self.reached: set[int] = set()
         self.relayed: set[int] = set()
@@ -408,11 +422,10 @@ class _Run:
         self.expected_bits += wire * len(receivers)
         self.expected_packets += len(receivers)
         if receivers:
-            key = (arrival, pkt.origin, pkt.seq)
-            wave = self.waves.get(key)
+            wave = self.waves.get(arrival)
             if wave is None:
-                wave = self.waves[key] = []
-                self.queue.push(Event(arrival, EventKind.RECEIVE, emitter, key))
+                wave = self.waves[arrival] = []
+                self.queue.push(Event(arrival, EventKind.RECEIVE))
             wave.append((emitter, pkt, receivers, topo))
 
     # -- event handlers ---------------------------------------------------
@@ -427,13 +440,13 @@ class _Run:
             header_bits=0,
             created_at_us=now,
         )
-        if admit(self.cache, self.source, pkt.key, now):
+        if admit(self.cache, self.source, now):
             self.cache_evictions += 1
         self.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
         self._broadcast(self.source, pkt, now)
 
     def handle_receive(self, ev: Event) -> None:
-        wave = self.waves.pop(ev.data)
+        wave = self.waves.pop(ev.time_us)
         wave.sort(key=itemgetter(0))  # stable: (emitter, insertion) order
         cfg = self.cfg
         now = ev.time_us
@@ -461,7 +474,7 @@ class _Run:
         emits = []
         for pkt, (lost, dups, firsts, relaying) in outcomes.items():
             self.reached.update(firsts)
-            # `receive` wrote seen[key] = now at each first reception: a
+            # `receive` wrote seen[node] = now at each first reception: a
             # fresh entry.
             self.cache_evictions += len(firsts)
             wire = pkt.wire_size_bits
@@ -472,7 +485,7 @@ class _Run:
                 emits.append((pkt, relaying))
         if emits:
             due = now + self.hold_us
-            self.queue.push(Event(due, EventKind.RELAY_EMIT, wave[0][0], tuple(emits)))
+            self.queue.push(Event(due, EventKind.RELAY_EMIT, tuple(emits)))
 
     def handle_relay_emit(self, ev: Event) -> None:
         now = ev.time_us
@@ -540,7 +553,7 @@ class _Run:
         self.cache = DuplicateCache(self.cache.ttl_us)
         self.reached, self.relayed, self.record = set(), set(), record
         for start in starts:
-            queue.push(Event(start, EventKind.EMIT_FROM_SOURCE, self.source))
+            queue.push(Event(start, EventKind.EMIT_FROM_SOURCE))
         handlers = {
             EventKind.EMIT_FROM_SOURCE: self.handle_emit_from_source,
             EventKind.RECEIVE: self.handle_receive,

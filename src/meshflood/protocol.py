@@ -18,12 +18,11 @@ The engine applies both rules with `receive`, once per broadcast copy over
 all of its receivers. `on_receive` and `blind_flood_on_receive` decide a
 single reception; they are the reference the batch form is tested against.
 
-A `DuplicateCache` holds every node's first-seen times under one TTL,
-key-major: `seen[(origin, seq)][node]`. A broadcast copy reads one key's dict
-once for all of its receivers, and each key tuple is stored once, not once
-per node. Entries age lazily: `admit` and `receive` treat an entry older
-than the TTL as absent and overwrite it. The engine gives each packet key's
-drain its own cache and drops it with the drain, so it never sweeps;
+A `DuplicateCache` holds every node's first-seen time of one packet key
+`(origin, seq)` under one TTL: `seen[node]`. The engine gives each key's
+drain its own cache and drops it with the drain, so no cache ever holds a
+second key and none is swept. Entries age lazily: `admit` and `receive`
+treat an entry older than the TTL as absent and overwrite it;
 `expire_caches` drops the aged entries of a cache that outlives them.
 
 All time arguments are integer microseconds.
@@ -58,29 +57,22 @@ class Packet:
     def wire_size_bits(self) -> int:
         return self.payload_bits + self.header_bits
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.origin, self.seq)
-
 
 @dataclass
 class DuplicateCache:
-    """Every node's duplicate cache, owned by the engine's event loop.
-
-    `seen[(origin, seq)]` maps each node that holds the key to the time it
-    first saw it; all nodes share the one TTL. A key with no node is absent.
-    """
+    """Every node's duplicate cache of one packet key, owned by that key's
+    drain: `seen` maps each node that holds the key to the time it first
+    saw it. All nodes share the one TTL."""
 
     ttl_us: int
-    seen: dict[tuple[int, int], dict[int, int]] = field(default_factory=dict)
+    seen: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Eviction:
-    """What expire_caches removed: the aged cache keys."""
+    """What expire_caches removed: the node of each aged entry."""
 
-    seen_keys: tuple[tuple[int, int], ...]
-    flushed: tuple[Packet, ...] = ()  # always empty; benches/tracer.py reads it
+    seen_keys: tuple[int, ...]
 
 
 def emitter_eligible(
@@ -101,19 +93,17 @@ def emitter_eligible(
     return emitter == pkt.origin and pkt.origin in neighbors
 
 
-def admit(
-    cache: DuplicateCache, node: int, key: tuple[int, int], now_us: int
-) -> bool:
-    """Cache `key` at `node` as first seen at now_us unless it is a duplicate.
+def admit(cache: DuplicateCache, node: int, now_us: int) -> bool:
+    """Cache the key at `node` as first seen at now_us unless it is a
+    duplicate there.
 
     An entry older than the TTL counts as absent and is overwritten; one aged
-    exactly the TTL still marks a duplicate. Returns whether `key` was cached.
+    exactly the TTL still marks a duplicate. Returns whether it was cached.
     """
-    seen = cache.seen.setdefault(key, {})
-    first_seen = seen.get(node)
+    first_seen = cache.seen.get(node)
     if first_seen is not None and now_us - first_seen <= cache.ttl_us:
         return False
-    seen[node] = now_us
+    cache.seen[node] = now_us
     return True
 
 
@@ -135,7 +125,7 @@ def on_receive(
     """
     if emitter not in neighbors:
         raise ProtocolViolationError(f"node {node} heard non-neighbor {emitter}")
-    if not admit(cache, node, pkt.key, now_us):
+    if not admit(cache, node, now_us):
         return Action.DROP_DUPLICATE
     if node in relays.selectors and (
         not rule2 or emitter_eligible(node, pkt, emitter, relays, neighbors)
@@ -155,7 +145,7 @@ def blind_flood_on_receive(
     """Classic flooding: every node retransmits each first-seen packet once."""
     if emitter not in neighbors:
         raise ProtocolViolationError(f"node {node} heard non-neighbor {emitter}")
-    if not admit(cache, node, pkt.key, now_us):
+    if not admit(cache, node, now_us):
         return Action.DROP_DUPLICATE
     return Action.DELIVER_AND_RELAY
 
@@ -182,13 +172,8 @@ def receive(
     packet's origin. Equivalent to
     `on_receive` (or `blind_flood_on_receive`) once per receiver.
     """
-    # `admit`'s rule, inlined over the key's one dict.
-    key = (pkt.origin, pkt.seq)
-    seen = cache.seen.get(key)
-    if seen is None:
-        seen = {}
-        if receivers:
-            cache.seen[key] = seen
+    # `admit`'s rule, inlined.
+    seen = cache.seen
     oldest_fresh = now_us - cache.ttl_us
     from_origin = emitter == pkt.origin
     selectors = None if relays is None else relays.selectors
@@ -227,21 +212,14 @@ def release_hold(pkt: Packet, header_increment: int) -> Packet:
 
 def expire_caches(cache: DuplicateCache, now_us: int) -> Eviction:
     """Drop every entry older than the TTL: those `admit` treats as absent.
-    One call sweeps the whole cache; a key whose entries have all aged is
-    dropped whole. `seen_keys` names the key of each aged entry.
+    One call sweeps the whole cache; `seen_keys` names the node of each aged
+    entry.
 
     An entry aged exactly the TTL is retained, so a copy arriving at that
     instant is still a duplicate.
     """
     oldest_fresh = now_us - cache.ttl_us
-    aged: list[tuple[int, int]] = []
-    for key, seen in list(cache.seen.items()):
-        if max(seen.values(), default=oldest_fresh - 1) < oldest_fresh:
-            del cache.seen[key]
-            aged += [key] * len(seen)
-        elif min(seen.values()) < oldest_fresh:
-            old = [v for v, t0 in seen.items() if t0 < oldest_fresh]
-            for v in old:
-                del seen[v]
-            aged += [key] * len(old)
-    return Eviction(seen_keys=tuple(aged))
+    aged = tuple(v for v, t0 in cache.seen.items() if t0 < oldest_fresh)
+    for v in aged:
+        del cache.seen[v]
+    return Eviction(seen_keys=aged)
