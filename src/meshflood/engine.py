@@ -569,8 +569,7 @@ class _Run:
 
     def _finalize(self) -> None:
         series = self.series
-        totals = series.counter_total()
-        peak = series.peak_node_bits_per_second()
+        totals = series.totals
         got_bits = (
             totals[mx.BITS_RECEIVED_FIRST]
             + totals[mx.BITS_RECEIVED_DUP]
@@ -613,8 +612,6 @@ class _Run:
                 f"{t}:{b}" for t, b in cfg.rate_schedule
             ),
         )
-        # The summary's totals and peak, kept so `summarize` needs no scan.
-        series.meta.update(zip(mx.TOTAL_KEYS, totals))
         series.meta.update(
             {
                 "fingerprint": scenario_fingerprint(cfg, self.initial_topo),
@@ -636,8 +633,7 @@ class _Run:
                 "cache_evictions": self.cache_evictions,
                 "conservation_sent_bits": self.expected_bits,
                 "conservation_received_bits": got_bits - totals[mx.BITS_LOST],
-                "peak_node_bits_per_second": peak,
-                "channel_overloaded": peak > cfg.channel_bps,
+                "channel_overloaded": series.peak > cfg.channel_bps,
             }
         )
 

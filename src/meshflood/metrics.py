@@ -8,7 +8,9 @@ each node. All amounts are integers; the accounting identity
     sent bits (wire size x receiver count, summed over transmissions)
       == first receptions + duplicate receptions + lost in transit
 
-is exact, never approximate.
+is exact, never approximate. `record` also keeps the run's counter totals and
+per-node peak as it writes, so no reader scans the buckets; `export_csv`
+streams them to disk one second at a time.
 """
 
 from __future__ import annotations
@@ -42,20 +44,28 @@ class MetricsSeries:
 
     `horizon_us` is the configured run length plus the drain tail during
     which in-flight floods complete, in microseconds. Records beyond the
-    horizon indicate an engine bug.
+    horizon indicate an engine bug. `record` keeps `totals`, the run total
+    row, and `peak`, the largest `BITS_SENT` plus `BITS_RELAYED` of a cell.
     """
 
     horizon_us: int
     buckets: dict[int, dict[int, list[int]]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    totals: list[int] = field(default_factory=lambda: [0] * len(COUNTERS))
+    peak: int = 0
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
     ) -> None:
         """Count one packet of `wire_bits` bits at every node in `nodes`: add
         `wire_bits` to `bits_counter` (a `BITS_*` index) and 1 to the class's
-        packets counter, in the bucket for second `now_us // US`. An empty
-        `nodes` leaves the buckets unchanged."""
+        packets counter, in the bucket for second `now_us // US` and in
+        `totals`. An empty `nodes` leaves the series unchanged.
+
+        A `BITS_SENT` or `BITS_RELAYED` write raises `peak` to the largest
+        emitted volume among the cells it wrote. Amounts are never negative,
+        so cells only grow, and the max over post-write values is the max
+        over final cells."""
         if wire_bits < 0:
             raise AccountingError(
                 f"negative amount {wire_bits} for {COUNTERS[bits_counter]}"
@@ -67,6 +77,8 @@ class MetricsSeries:
         if not nodes:
             return
         packets_counter = bits_counter + len(_CLASSES)
+        self.totals[bits_counter] += wire_bits * len(nodes)
+        self.totals[packets_counter] += len(nodes)
         bucket = self.buckets.setdefault(now_us // US, {})
         for node in nodes:
             row = bucket.get(node)
@@ -74,39 +86,44 @@ class MetricsSeries:
                 row = bucket[node] = [0] * len(COUNTERS)
             row[bits_counter] += wire_bits
             row[packets_counter] += 1
+        if bits_counter in (BITS_SENT, BITS_RELAYED):
+            emitted = (bucket[n][BITS_SENT] + bucket[n][BITS_RELAYED] for n in nodes)
+            self.peak = max(self.peak, *emitted)
 
+    # Unused in src/: benches/tracer.py wraps it by name; tests scan with it.
     def counter_total(self) -> list[int]:
         """Every counter summed across all buckets and nodes, from one scan,
         as a row indexed like a cell (`totals[BITS_SENT]`)."""
         rows = (row for cells in self.buckets.values() for row in cells.values())
         return [sum(column) for column in zip([0] * len(COUNTERS), *rows)]
 
-    def peak_node_bits_per_second(self) -> int:
-        """Largest per-node, per-second emitted volume (source plus relay bits)."""
-        peak = 0
-        for per_node in self.buckets.values():
-            for row in per_node.values():
-                peak = max(peak, row[BITS_SENT] + row[BITS_RELAYED])
-        return peak
-
 
 def export_csv(series: MetricsSeries, path) -> None:
     """Write `t,node_id,counter,value` rows sorted by (t, node, counter).
 
     Zero-valued cells are omitted; byte output is a pure function of the
-    series content.
+    series content. Each distinct row is formatted once, into a template
+    of its non-zero `,<counter>,<value>` lines after an empty string, which
+    joined with a cell's `t,node` puts that prefix before every line. Each
+    second's lines are written as soon as they are built, so at most one
+    bucket's text is held.
     """
     names = [f",{name}," for name in COUNTERS]
-    lines = [CSV_HEADER]
-    for t in sorted(series.buckets):
-        per_node = series.buckets[t]
-        for node in sorted(per_node):
-            cell = f"{t},{node}"
-            for name, value in zip(names, per_node[node]):
-                if value:
-                    lines.append(f"{cell}{name}{value}")
+    templates: dict[tuple[int, ...], tuple[str, ...]] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for t in sorted(series.buckets):
+            per_node = series.buckets[t]
+            lines = []
+            for node in sorted(per_node):
+                row = tuple(per_node[node])
+                template = templates.get(row)
+                if template is None:
+                    template = templates[row] = ("", *(
+                        f"{name}{value}\n" for name, value in zip(names, row) if value
+                    ))
+                lines.append(f"{t},{node}".join(template))
+            fh.write("".join(lines))
 
 
 def format_value(value) -> str:
@@ -118,16 +135,12 @@ def format_value(value) -> str:
 
 
 def summarize(series: MetricsSeries) -> dict:
-    """Flatten run totals and engine metadata into a single key/value record.
-
-    The engine keeps the totals and the peak in `meta` when it finalizes a
-    run; a series without them is scanned here.
-    """
+    """Flatten run totals, the peak and engine metadata into a single
+    key/value record."""
     summary = dict(series.meta)
-    if "peak_node_bits_per_second" not in summary:
-        summary.update(zip(TOTAL_KEYS, series.counter_total()))
-        summary["peak_node_bits_per_second"] = series.peak_node_bits_per_second()
-    totals = [summary[key] for key in TOTAL_KEYS]
+    totals = series.totals
+    summary.update(zip(TOTAL_KEYS, totals))
+    summary["peak_node_bits_per_second"] = series.peak
     first, dup = totals[PACKETS_RECEIVED_FIRST], totals[PACKETS_RECEIVED_DUP]
     summary["redundancy_ratio"] = (dup / first) if first else 0.0
     summary["total_transmissions"] = totals[PACKETS_SENT] + totals[PACKETS_RELAYED]

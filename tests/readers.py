@@ -1,10 +1,18 @@
 """Readers of the simulator's outputs that only the tests use: a
-`series.csv` back into buckets, per-node counter totals, and a topology file
-back into a `Topology`."""
+`series.csv` back into buckets, per-node counter totals and a topology file
+back into a `Topology`. Two scans of the buckets are oracles: the per-node
+peak for `MetricsSeries.record`, and a line-by-line writer for
+`export_csv`."""
 
 from collections import Counter
 
-from meshflood.metrics import COUNTERS, CSV_HEADER, MetricsSeries
+from meshflood.metrics import (
+    BITS_RELAYED,
+    BITS_SENT,
+    COUNTERS,
+    CSV_HEADER,
+    MetricsSeries,
+)
 from meshflood.topology import Node, Role, Topology
 
 
@@ -38,6 +46,32 @@ def node_totals(series: MetricsSeries, counter: int) -> dict[int, int]:
             if row[counter]:
                 totals[n] += row[counter]
     return dict(totals)
+
+
+def peak_node_bits_per_second(series: MetricsSeries) -> int:
+    """Largest per-node, per-second emitted volume (source plus relay bits),
+    from a scan of every cell."""
+    peak = 0
+    for per_node in series.buckets.values():
+        for row in per_node.values():
+            peak = max(peak, row[BITS_SENT] + row[BITS_RELAYED])
+    return peak
+
+
+def reference_csv(series: MetricsSeries, path) -> None:
+    """`export_csv` one line at a time: every line is formatted from its
+    cell and held in memory until the whole file is written."""
+    names = [f",{name}," for name in COUNTERS]
+    lines = [CSV_HEADER]
+    for t in sorted(series.buckets):
+        per_node = series.buckets[t]
+        for node in sorted(per_node):
+            cell = f"{t},{node}"
+            for name, value in zip(names, per_node[node]):
+                if value:
+                    lines.append(f"{cell}{name}{value}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_topology(path) -> Topology:

@@ -41,11 +41,14 @@ def test_traced_child_run_matches_untraced(tmp_path, mode):
     plain = run_child(tmp_path / "plain", False, text)
     assert "layers" in traced
     assert traced["digests"] == plain["digests"]
+    # `record` keeps the totals and the peak, so nothing scans the buckets.
+    assert traced["layers"]["metrics.counter_total_calls"] == 0
 
 
 def test_traced_mobile_run_has_no_sweep_and_no_topology_events(tmp_path):
     # Mobile, so every flood's key is drained live. Steps and ticks are
-    # read off the clock, and each key's cache goes with its drain.
+    # read off the clock, and each key's cache goes with its drain. No
+    # totals scan either.
     text = (
         "mode = relay\nfixture = grid:25\nnode_count = 25\n"
         "duplicate_ttl_s = 6\nsim_duration_s = 30\n"
@@ -59,6 +62,7 @@ def test_traced_mobile_run_has_no_sweep_and_no_topology_events(tmp_path):
     assert layers["protocol.expire_calls"] == 0
     assert layers["protocol.evicted_keys"] == 0
     assert layers["protocol.force_flushed"] == 0
+    assert layers["metrics.counter_total_calls"] == 0
 
 
 def test_traced_blind_run_releases_once_per_broadcast_hop(tmp_path):

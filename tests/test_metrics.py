@@ -1,3 +1,7 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +17,7 @@ from meshflood.metrics import (
     export_summary,
     summarize,
 )
-from readers import parse_csv
+from readers import parse_csv, peak_node_bits_per_second, reference_csv
 
 
 BITS_COUNTERS = (
@@ -36,6 +40,37 @@ times_us = st.one_of(
     st.integers(0, 9).flatmap(
         lambda s: st.integers(max(0, s * US - 2), s * US + 2)
     ),
+)
+
+# `record` calls: empty and repeated node lists, every bits counter, and
+# zero wire bits.
+record_calls = st.lists(
+    st.tuples(
+        times_us,
+        st.lists(st.integers(0, 6), max_size=5),
+        st.sampled_from(BITS_COUNTERS),
+        st.one_of(st.just(0), st.integers(0, 10**6)),
+    ),
+    max_size=30,
+)
+
+# Bucket maps over several seconds whose cells take rows from a small pool,
+# so rows repeat, with many zero-valued counters.
+bucket_maps = st.lists(
+    st.lists(
+        st.sampled_from((0, 0, 1, 2000, 10**6)),
+        min_size=len(mx.COUNTERS),
+        max_size=len(mx.COUNTERS),
+    ),
+    min_size=1,
+    max_size=4,
+).flatmap(
+    lambda pool: st.dictionaries(
+        st.integers(0, 400),
+        st.dictionaries(st.integers(0, 150), st.sampled_from(pool).map(list),
+                        max_size=8),
+        max_size=6,
+    )
 )
 
 
@@ -104,17 +139,7 @@ class TestRecord:
         with pytest.raises(AccountingError, match="outside horizon"):
             series.record(10 * US, (), mx.BITS_SENT, 1)
 
-    @given(
-        st.lists(
-            st.tuples(
-                times_us,
-                st.lists(st.integers(0, 6), max_size=5),
-                st.sampled_from(BITS_COUNTERS),
-                st.integers(0, 10**6),
-            ),
-            max_size=30,
-        )
-    )
+    @given(record_calls)
     def test_batch_equals_one_call_per_cell(self, writes):
         batched = MetricsSeries(horizon_us=10 * US)
         single = MetricsSeries(horizon_us=10 * US)
@@ -143,6 +168,14 @@ class TestRecord:
                     brute[i] += value
         assert batched.counter_total() == brute
         assert all(per_node for per_node in batched.buckets.values())
+
+    @given(record_calls)
+    def test_running_totals_and_peak_match_a_scan(self, writes):
+        series = MetricsSeries(horizon_us=10 * US)
+        for write in writes:
+            series.record(*write)
+        assert series.totals == series.counter_total()
+        assert series.peak == peak_node_bits_per_second(series)
 
 
 class TestCounterTotal:
@@ -228,6 +261,28 @@ class TestCsv:
         export_csv(series, path)
         assert parse_csv(path) == series.buckets
 
+    @given(bucket_maps)
+    def test_export_matches_reference_writer(self, buckets):
+        series = MetricsSeries(horizon_us=401 * US, buckets=buckets)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+            export_csv(series, got)
+            reference_csv(series, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_export_holds_under_a_tenth_of_the_file(self, tmp_path):
+        # Static relay flooding on grid:121 over 360 s: about 3.8 MB of CSV.
+        series = run(SimConfig(mode="relay", fixture="grid:121", node_count=121,
+                               sim_duration_s=360))
+        path = tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            export_csv(series, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
+
     def test_unknown_counter_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(
@@ -256,7 +311,7 @@ class TestSummary:
         series.record(0, (0,), mx.BITS_SENT, 2000)
         series.record(200_000, (0,), mx.BITS_RELAYED, 2200)
         series.record(3 * US, (1,), mx.BITS_RELAYED, 2400)
-        assert series.peak_node_bits_per_second() == 4200
+        assert series.peak == peak_node_bits_per_second(series) == 4200
 
     def test_export_sorted_keys_and_formats(self, tmp_path):
         path = tmp_path / "summary.txt"
