@@ -72,20 +72,23 @@ the neighbors the emitter had at transmission time; the `inflight=drop` flag
 instead re-checks adjacency on arrival and counts newly unreachable copies
 as lost in transit. Either way the bit-conservation identity is exact.
 
-A static run (no mobility step) with a new key per flood drains the first
-flood of each payload size live and keeps its trace: its metrics writes at
-offsets from its start, the nodes that first-received it and what it added
-to each tally. Each later flood of that size replays the writes through
-`MetricsSeries.record` at its own start and adds the rest. Why this is
-exact: keys are independent, as above; a static run's topology and cover
-never change and `inflight=drop` loses nothing; times are integer
-microseconds and TTL ageing is relative to the flood's start. Only three
-things depend on absolute time: the bucket, which `record` computes at
-replay; the horizon, which `record` still checks; and the cutoff. A trace
+Every key's drain yields a `_Trace`: its metrics writes at offsets from the
+key's first start, in time order, the nodes that first-received it and what
+it added to each tally. `execute` applies each trace through
+`MetricsSeries.record` at the key's start and adds the rest to the run, so
+static, mobile and `repeat_seq` keys write the series one way. A static run
+(no mobility step) with a new key per flood keeps the trace of the first
+flood of each payload size and applies it again for each later flood of
+that size instead of draining that flood. Why this is exact: keys are
+independent, as above; a static run's topology and cover never change and
+`inflight=drop` loses nothing; times are integer microseconds and TTL
+ageing is relative to the flood's start. Only three things depend on
+absolute time: the bucket, which `record` computes when the trace is
+applied; the horizon, which `record` still checks; and the cutoff. A trace
 is reused only if its last write, shifted to the new start, falls before
 the cutoff, and one that truncated a relay is never kept; any other flood is
-drained live too. Traces are keyed by payload bits, so a `rate_schedule`
-stays exact.
+drained. Traces are keyed by payload bits, so a `rate_schedule` stays
+exact.
 """
 
 from __future__ import annotations
@@ -265,19 +268,22 @@ def _rate_schedule_payload(cfg: SimConfig, now_us: int) -> int:
     return payload
 
 
+def _schedule_text(cfg: SimConfig) -> str:
+    return ",".join(f"{t}:{b}" for t, b in cfg.rate_schedule)
+
+
 def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
     """Identity of a scenario minus its flood mode, for paired comparisons."""
     label = cfg.fixture if cfg.fixture else cfg.placement
-    schedule_part = ",".join(f"{t}:{b}" for t, b in cfg.rate_schedule)
     return (
         f"{label}|n={len(topo.nodes)}|range={topo.radio_range!r}"
         f"|seed={cfg.seed}|dur={cfg.sim_duration_s!r}"
         f"|int={cfg.packet_interval_s!r}|payload={cfg.payload_bits}"
-        f"|mob={cfg.mobility_displacement!r}|sched={schedule_part}"
+        f"|mob={cfg.mobility_displacement!r}|sched={_schedule_text(cfg)}"
     )
 
 
-# The `_Run` tallies a flood adds to.
+# The tallies a key's drain adds to; `_drain` resets them for each key.
 _TALLIES = (
     "expected_bits",
     "expected_packets",
@@ -288,12 +294,12 @@ _TALLIES = (
 
 
 class _Trace(NamedTuple):
-    """One static flood drained live: its metrics writes as (offset from its
-    start, nodes, bits counter, wire bits), the offset of its last write,
-    the nodes that first-received it, and what it added to each tally."""
+    """One key's drain: its metrics writes as (offset from the key's first
+    start, nodes, bits counter, wire bits) in time order, so the last
+    write's offset is its span; the nodes that first-received it; and what
+    it added to each tally."""
 
     writes: list[tuple[int, Collection[int], int, int]]
-    span: int
     firsts: set[int]
     tallies: dict[str, int]
 
@@ -348,25 +354,15 @@ class _Run:
             horizon_us=_us(cfg.sim_duration_s + drain_s + ser_max + 2.0)
         )
 
-        self.expected_bits = 0
-        self.expected_packets = 0
-        # Fresh cache entries written. Each would age out once the run has
-        # drained, so this is the summary's `cache_evictions`.
-        self.cache_evictions = 0
-        self.relay_loop_violations = 0
-        self.relays_truncated = 0
+        # The run's sum of each key's `_TALLIES`. `cache_evictions` counts
+        # fresh cache entries written: each would age out once the run has
+        # drained.
+        self.tallies: Counter[str] = Counter()
         self.delivered: Counter[int] = Counter()  # node -> keys first-received
-        # The key being drained (see `_drain`): its queue, its waves keyed by
-        # arrival time, its cache, the nodes that first-received and relayed
-        # it, and where its metrics writes go.
         self.queue = EventQueue()
-        self.waves: dict[int, list] = {}
-        self.cache = DuplicateCache(_us(cfg.duplicate_ttl_s))
-        self.reached: set[int] = set()
-        self.relayed: set[int] = set()
-        self.record = self.series.record
-        # Payload bits -> the trace each flood of that size replays (see the
-        # module docstring); None drains every key live.
+        self._start_key(0)
+        # Payload bits -> the trace each flood of that size reuses (see the
+        # module docstring); None drains every key.
         self.traces: dict[int, _Trace] | None = (
             {} if self.steps == 0 and not cfg.repeat_seq else None
         )
@@ -414,6 +410,12 @@ class _Run:
         return snapshots[k]
 
     # -- traffic helpers ------------------------------------------------
+
+    def record(
+        self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
+    ) -> None:
+        """Add a write to the key's trace, at its offset from `origin_us`."""
+        self.writes.append((now_us - self.origin_us, nodes, bits_counter, wire_bits))
 
     def _broadcast(self, emitter: int, pkt: Packet, now_us: int) -> None:
         topo = self.topo_at(now_us)
@@ -507,51 +509,43 @@ class _Run:
     def execute(self) -> MetricsSeries:
         starts = range(0, _us(self.cfg.sim_duration_s), self.interval_us)
         keys = [starts] if self.cfg.repeat_seq else [[s] for s in starts]
+        traces, record = self.traces, self.series.record
         for i, floods in enumerate(keys):
             self.next_start_us = keys[i + 1][0] if i + 1 < len(keys) else math.inf
-            if self.traces is None:
-                reached = self._drain(floods, self.series.record)
-            else:
-                reached = self._flood(floods[0])
-            self.delivered.update(reached)
+            start = floods[0]
+            payload = _rate_schedule_payload(self.cfg, start)
+            trace = None if traces is None else traces.get(payload)
+            if trace is None or start + trace.writes[-1][0] >= self.cutoff_us:
+                trace = self._drain(floods)
+                if traces is not None and not trace.tallies["relays_truncated"]:
+                    traces[payload] = trace
+            for offset, nodes, counter, wire in trace.writes:
+                record(start + offset, nodes, counter, wire)
+            self.tallies.update(trace.tallies)
+            self.delivered.update(trace.firsts)
         self._finalize()
         return self.series
 
-    def _flood(self, start: int) -> set[int]:
-        """One flood of a static run: replay the trace of its payload size,
-        or drain it live and keep its trace. Returns the nodes that
-        first-received it."""
-        payload = _rate_schedule_payload(self.cfg, start)
-        trace = self.traces.get(payload)
-        record = self.series.record
-        if trace is not None and start + trace.span < self.cutoff_us:
-            for offset, nodes, counter, wire in trace.writes:
-                record(start + offset, nodes, counter, wire)
-            for name, delta in trace.tallies.items():
-                setattr(self, name, getattr(self, name) + delta)
-            return trace.firsts
-        writes = []
+    def _start_key(self, origin_us: int) -> None:
+        """Fresh state for the key whose first flood starts at `origin_us`: a
+        queue of the run's queue class, its waves keyed by arrival time, its
+        cache, the nodes that first-received and relayed it, its tallies, and
+        its writes at offsets from `origin_us`."""
+        self.queue = type(self.queue)()
+        self.waves: dict[int, list] = {}
+        self.cache = DuplicateCache(_us(self.cfg.duplicate_ttl_s))
+        self.reached: set[int] = set()
+        self.relayed: set[int] = set()
+        self.origin_us = origin_us
+        self.writes: list[tuple[int, Collection[int], int, int]] = []
+        for name in _TALLIES:
+            setattr(self, name, 0)
 
-        def capture(now_us, *write):
-            writes.append((now_us - start, *write))
-            record(now_us, *write)
-
-        before = {name: getattr(self, name) for name in _TALLIES}
-        reached = self._drain([start], capture)
-        tallies = {name: getattr(self, name) - value for name, value in before.items()}
-        if not tallies["relays_truncated"]:
-            span = max(w[0] for w in writes)
-            self.traces[payload] = _Trace(writes, span, reached, tallies)
-        return reached
-
-    def _drain(self, starts: Collection[int], record) -> set[int]:
-        """Drain the key whose floods start at `starts` on a fresh queue (of
-        the run's queue class), waves and cache, writing through `record`.
-        Returns the nodes that first-received the key."""
-        queue = self.queue = type(self.queue)()
-        self.waves = {}
-        self.cache = DuplicateCache(self.cache.ttl_us)
-        self.reached, self.relayed, self.record = set(), set(), record
+    def _drain(self, starts: Collection[int]) -> _Trace:
+        """Drain the key whose floods start at `starts` on fresh key state
+        (see `_start_key`) and return its trace."""
+        self._start_key(starts[0])
+        queue = self.queue
         for start in starts:
             queue.push(Event(start, EventKind.EMIT_FROM_SOURCE))
         handlers = {
@@ -565,19 +559,20 @@ class _Run:
                 raise AccountingError("event time went backwards")
             last_us = ev.time_us
             handlers[ev.kind](ev)
-        return self.reached
+        tallies = {name: getattr(self, name) for name in _TALLIES}
+        return _Trace(self.writes, self.reached, tallies)
 
     def _finalize(self) -> None:
-        series = self.series
+        series, tallies = self.series, self.tallies
         totals = series.totals
         got_bits = (
             totals[mx.BITS_RECEIVED_FIRST]
             + totals[mx.BITS_RECEIVED_DUP]
             + totals[mx.BITS_LOST]
         )
-        if got_bits != self.expected_bits:
+        if got_bits != tallies["expected_bits"]:
             raise AccountingError(
-                f"bit conservation broken: sent {self.expected_bits}, "
+                f"bit conservation broken: sent {tallies['expected_bits']}, "
                 f"accounted {got_bits}"
             )
         got_packets = (
@@ -585,7 +580,7 @@ class _Run:
             + totals[mx.PACKETS_RECEIVED_DUP]
             + totals[mx.PACKETS_LOST]
         )
-        if got_packets != self.expected_packets:
+        if got_packets != tallies["expected_packets"]:
             raise AccountingError("packet conservation broken")
 
         # Coverage over all non-source nodes, so a disconnected start shows
@@ -608,9 +603,7 @@ class _Run:
             config_node_count=len(self.initial_topo.nodes),
             config_radio_range=self.initial_topo.radio_range,
             config_fixture=cfg.fixture or "",
-            config_rate_schedule=",".join(
-                f"{t}:{b}" for t, b in cfg.rate_schedule
-            ),
+            config_rate_schedule=_schedule_text(cfg),
         )
         series.meta.update(
             {
@@ -628,10 +621,10 @@ class _Run:
                 "cardinality_cond1": card.cond1,
                 "cardinality_cond2": card.cond2,
                 "relay_recomputes": self.relay_recomputes,
-                "relay_loop_violations": self.relay_loop_violations,
-                "relays_truncated": self.relays_truncated,
-                "cache_evictions": self.cache_evictions,
-                "conservation_sent_bits": self.expected_bits,
+                "relay_loop_violations": tallies["relay_loop_violations"],
+                "relays_truncated": tallies["relays_truncated"],
+                "cache_evictions": tallies["cache_evictions"],
+                "conservation_sent_bits": tallies["expected_bits"],
                 "conservation_received_bits": got_bits - totals[mx.BITS_LOST],
                 "channel_overloaded": series.peak > cfg.channel_bps,
             }

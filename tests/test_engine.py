@@ -429,9 +429,9 @@ class DrainCount(_Run):
 
     drained = 0
 
-    def _drain(self, starts, record):
+    def _drain(self, starts):
         self.drained += 1
-        return super()._drain(starts, record)
+        return super()._drain(starts)
 
 
 class SharedQueueRun(_Run):
@@ -460,7 +460,9 @@ class SharedQueueRun(_Run):
     def execute(self):
         self.keys = {}
         duration = us(self.cfg.sim_duration_s)
-        self._drain(range(0, duration, self.interval_us), self.series.record)
+        trace = self._drain(range(0, duration, self.interval_us))
+        apply_writes(self)
+        self.tallies.update(trace.tallies)
         for _, _, reached, _ in self.keys.values():
             self.delivered.update(reached)
         self._finalize()
@@ -484,6 +486,14 @@ class SharedQueueRun(_Run):
             self.keys[key] = ({}, DuplicateCache(self.cache.ttl_us), set(), set())
         self.key = key
         self.waves, self.cache, self.reached, self.relayed = self.keys[key]
+
+
+def apply_writes(r):
+    """Apply the writes `r`'s handlers made since the last call to its series,
+    as `execute` applies a trace, and forget them."""
+    for offset, nodes, counter, wire in r.writes:
+        r.series.record(r.origin_us + offset, nodes, counter, wire)
+    r.writes.clear()
 
 
 def pop_log(base):
@@ -641,6 +651,34 @@ class TestRun:
             r.execute()
             assert r.drained == drained, cfg
 
+    @settings(max_examples=60, deadline=None)
+    @given(scheduled_configs())
+    @example(SimConfig(fixture="fig3", repeat_seq=True, sim_duration_s=30))
+    def test_every_trace_starts_at_its_source_and_runs_in_time_order(self, cfg):
+        # `execute` reuses a trace only if its last write, shifted to the new
+        # start, falls before the cutoff, so the last write must be the
+        # latest; and `firsts` must be the nodes its writes deliver to.
+        class Traces(_Run):
+            def _drain(self, starts):
+                trace = super()._drain(starts)
+                self.drained.append(trace)
+                return trace
+
+        cfg.validate()
+        r = Traces(cfg, scenario_topology(cfg))
+        r.drained = []
+        r.execute()
+        assert r.drained
+        for trace in r.drained:
+            offsets = [w[0] for w in trace.writes]
+            assert offsets == sorted(offsets) and offsets[0] >= 0
+            assert trace.writes[0][:3] == (0, (r.source,), mx.BITS_SENT)
+            received = [
+                nodes for _, nodes, counter, _ in trace.writes
+                if counter == mx.BITS_RECEIVED_FIRST
+            ]
+            assert trace.firsts == set().union(*received)
+
     def test_handler_overrides_run_inside_a_simulated_flood(self):
         # Copies of one key meet at one instant in this static run, so taking
         # them by descending emitter changes its outputs, on the replay as on
@@ -743,6 +781,7 @@ class TestRun:
             # Out of emitter order: the wave is sorted before it is taken.
             r.waves[1_000] = [(3, large, (2, 4), topo), (1, small, (0, 2), topo)]
             r.handle_receive(Event(1_000, EventKind.RECEIVE))
+            apply_writes(r)
             runs.append(r)
         r = runs[0]
         cells = r.series.buckets[0]
@@ -762,6 +801,7 @@ class TestRun:
         assert relay_emit.data == ((small, [0, 2]), (large, [4]))
         # Each entry leaves with its own header.
         r.handle_relay_emit(relay_emit)
+        apply_writes(r)
         relayed = r.series.buckets[relay_emit.time_us // mx.US]
         assert {v: relayed[v][mx.BITS_RELAYED] for v in (0, 2, 4)} == {
             0: 2200,
@@ -772,6 +812,7 @@ class TestRun:
         late = runs[1]
         late.cutoff_us = relay_emit.time_us
         late.handle_relay_emit(late.queue.pop())
+        apply_writes(late)
         assert late.relays_truncated == 3
         assert node_totals(late.series, mx.BITS_RELAYED) == {}
 
@@ -935,14 +976,14 @@ class TestRun:
         class CacheAtDrainEnd(EventPathRun):
             drained = 0
 
-            def _drain(self, starts, record):
-                reached = super()._drain(starts, record)
+            def _drain(self, starts):
+                trace = super()._drain(starts)
                 # Every entry is the source or a node that first-received
                 # this drain's key, written no earlier than its first start.
-                assert set(self.cache.seen) == reached | {self.source}
+                assert set(self.cache.seen) == trace.firsts | {self.source}
                 assert min(self.cache.seen.values()) >= starts[0]
                 self.drained += 1
-                return reached
+                return trace
 
         r = CacheAtDrainEnd(cfg, scenario_topology(cfg))
         r.execute()
