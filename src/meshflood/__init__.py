@@ -9,7 +9,7 @@ from .relays import (
     coverage_check,
     select_relays,
 )
-from .topology import Node, Placement, Role, Topology, build_topology, place_nodes
+from .topology import Placement, Topology, build_topology, place_nodes
 
 __version__ = "0.1.0"
 
@@ -17,10 +17,8 @@ __all__ = [
     "MODE_BLIND",
     "MODE_RELAY",
     "MetricsSeries",
-    "Node",
     "Placement",
     "RelayAssignment",
-    "Role",
     "SimConfig",
     "Topology",
     "brute_force_min_relays",

@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, paired comparisons, oracle checks.
 
-Exit codes: 0 success, 2 configuration error (bad scenario file, size cap),
-3 accounting-invariant violation, 4 oracle coverage failure.
+Exit codes: 0 success, 2 configuration error (bad scenario file, size cap)
+or an output path that cannot be written, 3 accounting-invariant violation,
+4 oracle coverage failure.
 
 `run` and `compare` echo each summary flag of a run that defeats itself
 (see WARNING_KEYS) to stderr as `warning: <key>=<value> (<summary file>)`;
@@ -27,7 +28,7 @@ from .engine import (
     run,
     scenario_topology,
 )
-from .errors import AccountingError, ConfigError, MeshFloodError, SizeLimitError
+from .errors import AccountingError, ConfigError, MeshFloodError
 from .metrics import compare, export_csv, export_summary, format_value, summarize
 from .relays import (
     BRUTE_FORCE_MAX_NODES,
@@ -209,13 +210,10 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "compare": cmd_compare, "oracle": cmd_oracle}
     try:
         return handlers[args.command](args)
-    except (ConfigError, SizeLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except AccountingError as exc:
         print(f"accounting violation: {exc}", file=sys.stderr)
         return EXIT_ACCOUNTING
-    except MeshFloodError as exc:
+    except (MeshFloodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -312,7 +312,7 @@ class _Run:
     ):
         self.cfg = cfg
         self.initial_topo = topo
-        self.source = topo.source_id
+        self.source = topo.source
         self.mobility_rng = random.Random(f"{cfg.seed}:mobility")
         self.initial_assignment = assignment or select_relays(topo, cfg.relay_order)
         duration = _us(cfg.sim_duration_s)
@@ -334,7 +334,7 @@ class _Run:
         self.hold_us = _us(cfg.hold_time_s)
         area_side = max(
             cfg.area_side,
-            max((max(n.pos[0], n.pos[1]) for n in topo.nodes.values()), default=0.0),
+            max(map(max, topo.nodes.values()), default=0.0),
         )
         self.mobility_step = MobilityStep(cfg.mobility_displacement, area_side)
 

@@ -13,9 +13,7 @@ import math
 from .errors import ConfigError
 from .topology import (
     DEFAULT_AREA_SIDE,
-    Node,
     Placement,
-    Role,
     Topology,
     build_topology,
     grid_spacing,
@@ -44,24 +42,13 @@ def fig3_topology() -> Topology:
     router-router links, and router-to-own-client links; clients hear only
     their router. Ids: 0 source, 1-3 routers, 4-9 clients (two per router).
     """
-    nodes = [Node(0, Role.SOURCE, _FIG3_CENTER)]
-    nid = 1
+    positions = [_FIG3_CENTER]
     for angle in _FIG3_ROUTER_ANGLES:
-        nodes.append(
-            Node(nid, Role.CLIENT, _polar(_FIG3_CENTER, _FIG3_ROUTER_RADIUS, angle))
-        )
-        nid += 1
+        positions.append(_polar(_FIG3_CENTER, _FIG3_ROUTER_RADIUS, angle))
     for angle in _FIG3_ROUTER_ANGLES:
         for offset in (-_FIG3_CLIENT_OFFSET, _FIG3_CLIENT_OFFSET):
-            nodes.append(
-                Node(
-                    nid,
-                    Role.CLIENT,
-                    _polar(_FIG3_CENTER, _FIG3_CLIENT_RADIUS, angle + offset),
-                )
-            )
-            nid += 1
-    return build_topology(nodes, FIG3_RANGE)
+            positions.append(_polar(_FIG3_CENTER, _FIG3_CLIENT_RADIUS, angle + offset))
+    return build_topology(dict(enumerate(positions)), FIG3_RANGE)
 
 
 FIG3_ROUTERS = (1, 2, 3)
@@ -72,11 +59,7 @@ def path_topology(n: int, spacing: float = 100.0) -> Topology:
     """n collinear nodes, consecutive ones exactly one radio range apart."""
     if n < 1:
         raise ConfigError("path fixture needs at least 1 node")
-    nodes = [
-        Node(i, Role.SOURCE if i == 0 else Role.CLIENT, (i * spacing, 0.0))
-        for i in range(n)
-    ]
-    return build_topology(nodes, spacing)
+    return build_topology({i: (i * spacing, 0.0) for i in range(n)}, spacing)
 
 
 def grid_topology(n: int, area_side: float = DEFAULT_AREA_SIDE) -> Topology:
@@ -92,14 +75,8 @@ def complete_topology(n: int) -> Topology:
     if n < 1:
         raise ConfigError("complete fixture needs at least 1 node")
     center = (250.0, 250.0)
-    nodes = [
-        Node(
-            i,
-            Role.SOURCE if i == 0 else Role.CLIENT,
-            _polar(center, 10.0 if n > 1 else 0.0, 360.0 * i / n),
-        )
-        for i in range(n)
-    ]
+    radius = 10.0 if n > 1 else 0.0
+    nodes = {i: _polar(center, radius, 360.0 * i / n) for i in range(n)}
     return build_topology(nodes, 120.0)
 
 

@@ -1,5 +1,8 @@
 """Node placement, unit-disk connectivity and neighborhood queries.
 
+A node is its id and its position in meters; the one flood source is a
+field of the topology, not a property of a node.
+
 Adjacency is purely geometric: two distinct nodes are linked iff their
 Euclidean distance is at most the radio range. All operations are pure
 functions of their inputs (plus an explicit seed where randomness is
@@ -27,23 +30,9 @@ from .errors import EmptyScenarioError, UnknownNodeError
 DEFAULT_AREA_SIDE = 500.0
 
 
-class Role(Enum):
-    SOURCE = "source"
-    CLIENT = "client"
-
-
 class Placement(Enum):
     GRID = "grid"
     UNIFORM_RANDOM = "uniform"
-
-
-@dataclass(frozen=True)
-class Node:
-    """A radio node: id, source/client role and a position in meters."""
-
-    id: int
-    role: Role
-    pos: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -58,15 +47,19 @@ class MobilityStep:
 class Topology:
     """Immutable snapshot of node positions and their disk adjacency.
 
+    `nodes` maps each node id to its position in meters, and `source` is the
+    id of the one node that floods originate from.
+
     `edges`, when given, is taken as the adjacency: `build_topology` passes
     the disk adjacency it built, and a reader of a `save_topology` file
     passes its links. Otherwise the disk adjacency of the positions is built
     on first read.
     """
 
-    nodes: dict[int, Node]
+    nodes: dict[int, tuple[float, float]]
     radio_range: float
     epoch: int = 0
+    source: int = 0
     edges: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     @cached_property
@@ -83,22 +76,14 @@ class Topology:
         """Each node's neighbors in id order, sorted once per snapshot."""
         return {u: tuple(sorted(nbrs)) for u, nbrs in self.adjacency.items()}
 
-    @property
-    def source_id(self) -> int:
-        for node in self.nodes.values():
-            if node.role is Role.SOURCE:
-                return node.id
-        raise UnknownNodeError("topology has no source node")
-
 
 def place_nodes(
     count: int,
     placement: Placement = Placement.GRID,
     area_side: float = DEFAULT_AREA_SIDE,
     seed: int = 0,
-    source: int = 0,
-) -> list[Node]:
-    """Place `count` nodes in the square area; node `source` gets the source role.
+) -> dict[int, tuple[float, float]]:
+    """Place `count` nodes, ids 0..count-1, in the square area.
 
     Grid mode fills a ceil(sqrt(count))-per-side lattice row-major (x varies
     fastest) anchored on the area corners, truncating the highest lattice
@@ -109,24 +94,20 @@ def place_nodes(
     if area_side <= 0:
         raise ValueError("area_side must be positive")
 
-    positions: list[tuple[float, float]] = []
+    positions: dict[int, tuple[float, float]] = {}
     if placement is Placement.GRID:
         side = math.ceil(math.sqrt(count))
         spacing = grid_spacing(count, area_side)
         for i in range(count):
             row, col = divmod(i, side)
-            positions.append((col * spacing, row * spacing))
+            positions[i] = (col * spacing, row * spacing)
     else:
         rng = random.Random(seed)
-        for _ in range(count):
+        for i in range(count):
             x = rng.uniform(0.0, area_side)
             y = rng.uniform(0.0, area_side)
-            positions.append((x, y))
-
-    return [
-        Node(i, Role.SOURCE if i == source else Role.CLIENT, positions[i])
-        for i in range(count)
-    ]
+            positions[i] = (x, y)
+    return positions
 
 
 def grid_spacing(count: int, area_side: float = DEFAULT_AREA_SIDE) -> float:
@@ -135,7 +116,9 @@ def grid_spacing(count: int, area_side: float = DEFAULT_AREA_SIDE) -> float:
     return area_side / (side - 1) if side > 1 else 0.0
 
 
-def _bands(nodes: dict[int, Node], axis: int, radio_range: float) -> dict[int, int]:
+def _bands(
+    nodes: dict[int, tuple[float, float]], axis: int, radio_range: float
+) -> dict[int, int]:
     """Each node's band along one axis, numbered in coordinate order.
 
     In coordinate order, a new band starts at the first coordinate `c` more
@@ -154,7 +137,7 @@ def _bands(nodes: dict[int, Node], axis: int, radio_range: float) -> dict[int, i
     all-pairs test. A NaN coordinate, which would break the sort, is walked
     as +inf: its node links under no finite range, so its band is moot.
     """
-    coords = ((node.pos[axis], u) for u, node in nodes.items())
+    coords = ((pos[axis], u) for u, pos in nodes.items())
     walk = sorted((c if c == c else math.inf, u) for c, u in coords)
     bands: dict[int, int] = {}
     band, start = 0, -math.inf  # band 0 starts below every coordinate
@@ -166,7 +149,7 @@ def _bands(nodes: dict[int, Node], axis: int, radio_range: float) -> dict[int, i
 
 
 def _disk_adjacency(
-    nodes: dict[int, Node], radio_range: float
+    nodes: dict[int, tuple[float, float]], radio_range: float
 ) -> dict[int, frozenset[int]]:
     ids = sorted(nodes)
     xs = _bands(nodes, 0, radio_range)
@@ -176,27 +159,30 @@ def _disk_adjacency(
         cells.setdefault((xs[u], ys[u]), []).append(u)
     links: dict[int, set[int]] = {i: set() for i in ids}
     for u in ids:
-        pos, bx, by = nodes[u].pos, xs[u], ys[u]
+        pos, bx, by = nodes[u], xs[u], ys[u]
         for i in (bx - 1, bx, bx + 1):
             for j in (by - 1, by, by + 1):
                 for v in cells.get((i, j), ()):
                     # Two nodes that can link search each other's cells,
                     # so testing v > u only tests each pair once.
-                    if v > u and math.dist(pos, nodes[v].pos) <= radio_range:
+                    if v > u and math.dist(pos, nodes[v]) <= radio_range:
                         links[u].add(v)
                         links[v].add(u)
     return {i: frozenset(neigh) for i, neigh in links.items()}
 
 
-def build_topology(nodes: list[Node], radio_range: float) -> Topology:
-    """Build the unit-disk topology over `nodes`."""
+def build_topology(
+    nodes: dict[int, tuple[float, float]], radio_range: float, source: int = 0
+) -> Topology:
+    """Build the unit-disk topology over `nodes` (id -> position), flooded
+    from node `source`."""
     if radio_range <= 0:
         raise ValueError("radio_range must be positive")
-    node_map = {n.id: n for n in nodes}
-    if len(node_map) != len(nodes):
-        raise ValueError("duplicate node ids")
-    adjacency = _disk_adjacency(node_map, radio_range)
-    return Topology(node_map, radio_range, edges=adjacency)
+    if source not in nodes:
+        raise UnknownNodeError(source)
+    nodes = dict(nodes)  # the snapshot owns its positions
+    adjacency = _disk_adjacency(nodes, radio_range)
+    return Topology(nodes, radio_range, source=source, edges=adjacency)
 
 
 def two_hop(t: Topology, u: int) -> frozenset[int]:
@@ -244,26 +230,25 @@ def reconfigure(t: Topology, mobility: MobilityStep, seed: int) -> Topology:
     are built on the first read of its `adjacency`.
     """
     rng = random.Random(seed)
-    moved: dict[int, Node] = {}
+    moved: dict[int, tuple[float, float]] = {}
     for u in sorted(t.nodes):
-        node = t.nodes[u]
-        if node.role is Role.SOURCE:
-            moved[u] = node
-            continue
-        radius = rng.uniform(0.0, mobility.max_displacement)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        x = min(max(node.pos[0] + radius * math.cos(angle), 0.0), mobility.area_side)
-        y = min(max(node.pos[1] + radius * math.sin(angle), 0.0), mobility.area_side)
-        moved[u] = Node(node.id, node.role, (x, y))
-    return Topology(moved, t.radio_range, t.epoch + 1)
+        x, y = t.nodes[u]
+        if u != t.source:
+            radius = rng.uniform(0.0, mobility.max_displacement)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            x = min(max(x + radius * math.cos(angle), 0.0), mobility.area_side)
+            y = min(max(y + radius * math.sin(angle), 0.0), mobility.area_side)
+        moved[u] = (x, y)
+    return Topology(moved, t.radio_range, t.epoch + 1, t.source)
 
 
 def save_topology(t: Topology, path) -> None:
     """Write the plain-text adjacency format: header, node lines, edge lines."""
     lines = [f"n {len(t.nodes)} range {t.radio_range!r}"]
     for u in t.node_ids():
-        node = t.nodes[u]
-        lines.append(f"node {u} {node.pos[0]!r} {node.pos[1]!r} {node.role.value}")
+        x, y = t.nodes[u]
+        role = "source" if u == t.source else "client"
+        lines.append(f"node {u} {x!r} {y!r} {role}")
     for u in t.node_ids():
         for v in sorted(t.adjacency[u]):
             if u < v:

@@ -13,7 +13,7 @@ from meshflood.metrics import (
     CSV_HEADER,
     MetricsSeries,
 )
-from meshflood.topology import Node, Role, Topology
+from meshflood.topology import Topology
 
 
 def parse_csv(path) -> dict[int, dict[int, list[int]]]:
@@ -77,9 +77,10 @@ def reference_csv(series: MetricsSeries, path) -> None:
 def load_topology(path) -> Topology:
     """Read a topology file written by `save_topology`; edges are taken as
     given."""
-    nodes: dict[int, Node] = {}
+    nodes: dict[int, tuple[float, float]] = {}
     links: dict[int, set[int]] = {}
     radio_range = 0.0
+    source = 0
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             parts = raw.split()
@@ -89,8 +90,9 @@ def load_topology(path) -> Topology:
                 radio_range = float(parts[3])
             elif parts[0] == "node":
                 u = int(parts[1])
-                role = Role.SOURCE if parts[4] == Role.SOURCE.value else Role.CLIENT
-                nodes[u] = Node(u, role, (float(parts[2]), float(parts[3])))
+                nodes[u] = (float(parts[2]), float(parts[3]))
+                if parts[4] == "source":
+                    source = u
                 links[u] = set()
             elif parts[0] == "edge":
                 u, v = int(parts[1]), int(parts[2])
@@ -99,4 +101,4 @@ def load_topology(path) -> Topology:
             else:
                 raise ValueError(f"unrecognized topology line: {raw.strip()}")
     edges = {u: frozenset(s) for u, s in links.items()}
-    return Topology(nodes, radio_range, edges=edges)
+    return Topology(nodes, radio_range, source=source, edges=edges)

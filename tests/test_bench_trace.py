@@ -34,6 +34,10 @@ def run_child(out_dir: Path, traced: bool, text: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def read_summary(path: Path) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
 @pytest.mark.parametrize("mode", ["blind", "relay"])
 def test_traced_child_run_matches_untraced(tmp_path, mode):
     text = f"mode = {mode}\nfixture = grid:25\nnode_count = 25\nsim_duration_s = 20\n"
@@ -43,6 +47,11 @@ def test_traced_child_run_matches_untraced(tmp_path, mode):
     assert traced["digests"] == plain["digests"]
     # `record` keeps the totals and the peak, so nothing scans the buckets.
     assert traced["layers"]["metrics.counter_total_calls"] == 0
+    # The tracer divides the first cover's size by `len(topology.nodes)`.
+    summary = read_summary(tmp_path / "traced" / "summary.txt")
+    fraction = int(summary["relay_set_size"]) / int(summary["config_node_count"])
+    assert fraction > 0
+    assert traced["layers"]["relays.relay_fraction"] == fraction
 
 
 def test_traced_mobile_run_has_no_sweep_and_no_topology_events(tmp_path):
@@ -76,9 +85,7 @@ def test_traced_blind_run_releases_once_per_broadcast_hop(tmp_path):
     )
     out = tmp_path / "traced"
     layers = run_child(out, True, text)["layers"]
-    summary = dict(
-        line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
-    )
+    summary = read_summary(out / "summary.txt")
     held = int(summary["total_packets_relayed"]) + int(summary["relays_truncated"])
     assert layers["protocol.release_hold_calls"] == layers["engine.events.RELAY_EMIT"]
     assert 0 < layers["engine.events.RELAY_EMIT"] < held

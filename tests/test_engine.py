@@ -170,6 +170,11 @@ class TestConfigValidation:
             {"duplicate_ttl_s": 2.0},
             {"rate_schedule": ((0.0, 3000), (0.0, 1000))},
             {"rate_schedule": ((10.0, 1000), (0.0, 2000))},
+            {"radio_range": 0.0},
+            {"area_side": -1.0},
+            {"channel_bps": 0},
+            {"payload_bits": 0},
+            {"header_bits_per_relay": -1},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -1226,7 +1231,7 @@ def static_flood_model(cfg, topo):
     selectors = None
     if cfg.mode == MODE_RELAY:
         selectors = select_relays(topo, cfg.relay_order).selectors
-    source = topo.source_id
+    source = topo.source
     reached = {source}
     hop = [source]
     transmissions = heard = 0

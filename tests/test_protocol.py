@@ -21,7 +21,7 @@ from meshflood.protocol import (
     release_hold,
 )
 from meshflood.relays import RelayAssignment, select_relays
-from meshflood.topology import Node, Role, build_topology
+from meshflood.topology import build_topology
 
 S = 1_000_000  # microseconds per second
 
@@ -34,14 +34,14 @@ def hub_topology():
     also hears 3 directly, so 3 is not a selector of 0: a copy re-emitted by
     3 must not be re-relayed by 0.
     """
-    nodes = [
-        Node(0, Role.CLIENT, (280.0, 200.0)),
-        Node(1, Role.SOURCE, (240.0, 270.0)),
-        Node(2, Role.CLIENT, (240.0, 130.0)),
-        Node(3, Role.CLIENT, (200.0, 200.0)),
-        Node(4, Role.CLIENT, (110.0, 200.0)),
-    ]
-    return build_topology(nodes, 100.0)
+    nodes = {
+        0: (280.0, 200.0),
+        1: (240.0, 270.0),
+        2: (240.0, 130.0),
+        3: (200.0, 200.0),
+        4: (110.0, 200.0),
+    }
+    return build_topology(nodes, 100.0, source=1)
 
 
 def make_cache():

@@ -29,8 +29,6 @@ from meshflood.relays import (
 )
 from meshflood.topology import (
     MobilityStep,
-    Node,
-    Role,
     build_topology,
     reconfigure,
     two_hop,
@@ -38,10 +36,10 @@ from meshflood.topology import (
 
 
 def star_topology(leaves=4):
-    nodes = [Node(0, Role.SOURCE, (250.0, 250.0))]
+    nodes = {0: (250.0, 250.0)}
     spots = [(250.0, 330.0), (250.0, 170.0), (330.0, 250.0), (170.0, 250.0)]
     for i in range(leaves):
-        nodes.append(Node(i + 1, Role.CLIENT, spots[i]))
+        nodes[i + 1] = spots[i]
     return build_topology(nodes, 100.0)
 
 
@@ -107,14 +105,14 @@ class TestSelectRelays:
     def test_disconnected_components_covered_independently(self):
         # Two separated triangles with one pendant each: pairs never span
         # components.
-        nodes = [
-            Node(0, Role.SOURCE, (0.0, 0.0)),
-            Node(1, Role.CLIENT, (60.0, 0.0)),
-            Node(2, Role.CLIENT, (30.0, 50.0)),
-            Node(3, Role.CLIENT, (0.0, 100.0)),
-            Node(4, Role.CLIENT, (400.0, 0.0)),
-            Node(5, Role.CLIENT, (460.0, 0.0)),
-        ]
+        nodes = {
+            0: (0.0, 0.0),
+            1: (60.0, 0.0),
+            2: (30.0, 50.0),
+            3: (0.0, 100.0),
+            4: (400.0, 0.0),
+            5: (460.0, 0.0),
+        }
         t = build_topology(nodes, 100.0)
         a = select_relays(t)
         assert coverage_check(t, a.relays) == []
@@ -216,12 +214,7 @@ class TestBruteForceOracle:
     def test_lexicographic_tie_break(self):
         # Square cycle: both {0, 1} and {2, 3} (among others) are minimum
         # covers; subset enumeration must return the lexicographically first.
-        nodes = [
-            Node(0, Role.SOURCE, (0.0, 0.0)),
-            Node(1, Role.CLIENT, (90.0, 0.0)),
-            Node(2, Role.CLIENT, (90.0, 90.0)),
-            Node(3, Role.CLIENT, (0.0, 90.0)),
-        ]
+        nodes = {0: (0.0, 0.0), 1: (90.0, 0.0), 2: (90.0, 90.0), 3: (0.0, 90.0)}
         t = build_topology(nodes, 100.0)
         assert brute_force_min_relays(t) == {0, 1}
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meshflood import cli, engine
-from meshflood.cli import EXIT_CONFIG, EXIT_OK, main
+from meshflood.cli import EXIT_ACCOUNTING, EXIT_CONFIG, EXIT_OK, main
 from meshflood.engine import (
     INFLIGHT_DELIVER,
     INFLIGHT_DROP,
@@ -17,7 +17,7 @@ from meshflood.engine import (
     SimConfig,
     run,
 )
-from meshflood.errors import ConfigError
+from meshflood.errors import AccountingError, ConfigError
 from meshflood.metrics import summarize
 from meshflood.relays import select_relays
 from meshflood.scenario import parse_rate_schedule, parse_scenario_text
@@ -125,6 +125,10 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="boolean"):
             parse_scenario_text("rule2 = maybe\n")
 
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="expected key=value"):
+            parse_scenario_text("seed 7\n")
+
     def test_invalid_values_rejected_by_validation(self):
         with pytest.raises(ConfigError):
             parse_scenario_text("node_count = 0\n")
@@ -158,6 +162,8 @@ class TestScenarioParsing:
         assert parse_rate_schedule("60:1000, 0:2000") == ((0.0, 2000), (60.0, 1000))
         with pytest.raises(ConfigError):
             parse_rate_schedule("60=1000")
+        with pytest.raises(ConfigError):
+            parse_rate_schedule("0:abc")
 
 
 def write_scenario(tmp_path, text, name="scenario.scn"):
@@ -232,12 +238,41 @@ class TestCmdRun:
 
     def test_flags_override_file_values(self, tmp_path):
         scn = write_scenario(
-            tmp_path, "fixture = path:3\nmode = relay\nsim_duration_s = 10\n"
+            tmp_path,
+            "fixture = path:3\nmode = relay\nrule2 = on\ninflight = deliver\n"
+            "sim_duration_s = 10\n",
         )
         out = tmp_path / "out"
-        assert main(["run", scn, "--mode", "blind", "--out", str(out)]) == EXIT_OK
-        summary = (out / "summary.txt").read_text()
+        flags = ["--mode", "blind", "--rule2", "off", "--inflight", "drop"]
+        assert main(["run", scn, *flags, "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text().splitlines()
         assert "config_mode=blind" in summary
+        assert "config_rule2=false" in summary
+        assert "config_inflight=drop" in summary
+
+    def test_accounting_violation_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken_run(*args):
+            raise AccountingError("unbalanced")
+
+        monkeypatch.setattr(cli, "run", broken_run)
+        scn = write_scenario(tmp_path, "fixture = path:3\nsim_duration_s = 10\n")
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_ACCOUNTING
+        assert capsys.readouterr().err == "accounting violation: unbalanced\n"
+
+    def test_empty_fixture_exits_2(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, "fixture = grid:0\n")
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: cannot place 0 nodes\n"
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys, command):
+        scn = write_scenario(tmp_path, "fixture = path:3\nsim_duration_s = 10\n")
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main([command, scn, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "not a directory\n"
 
     def test_dump_topology(self, tmp_path):
         scn = write_scenario(tmp_path, "fixture = path:3\nsim_duration_s = 10\n")

@@ -8,9 +8,7 @@ from meshflood.errors import EmptyScenarioError, UnknownNodeError
 from meshflood.fixtures import grid_topology, path_topology, random_disk_topology
 from meshflood.topology import (
     MobilityStep,
-    Node,
     Placement,
-    Role,
     build_topology,
     grid_spacing,
     is_connected,
@@ -23,23 +21,19 @@ from readers import load_topology
 
 
 def path3():
-    nodes = [
-        Node(0, Role.SOURCE, (0.0, 0.0)),
-        Node(1, Role.CLIENT, (100.0, 0.0)),
-        Node(2, Role.CLIENT, (200.0, 0.0)),
-    ]
+    nodes = {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (200.0, 0.0)}
     return build_topology(nodes, 100.0)
 
 
 class TestPlaceNodes:
     def test_single_node_grid_sits_at_origin(self):
         nodes = place_nodes(1, Placement.GRID, 500.0)
-        assert nodes[0].pos == (0.0, 0.0)
-        assert nodes[0].role is Role.SOURCE
+        assert nodes == {0: (0.0, 0.0)}
+        assert build_topology(nodes, 100.0).source == 0
 
     def test_four_node_grid_fills_corners(self):
         nodes = place_nodes(4, Placement.GRID, 500.0)
-        assert [n.pos for n in nodes] == [
+        assert list(nodes.values()) == [
             (0.0, 0.0),
             (500.0, 0.0),
             (0.0, 500.0),
@@ -48,25 +42,28 @@ class TestPlaceNodes:
 
     def test_grid_truncates_highest_lattice_cells(self):
         nodes = place_nodes(3, Placement.GRID, 500.0)
-        assert [n.pos for n in nodes] == [(0.0, 0.0), (500.0, 0.0), (0.0, 500.0)]
+        assert nodes == {0: (0.0, 0.0), 1: (500.0, 0.0), 2: (0.0, 500.0)}
 
     def test_uniform_random_is_deterministic(self):
         a = place_nodes(25, Placement.UNIFORM_RANDOM, 500.0, seed=7)
         b = place_nodes(25, Placement.UNIFORM_RANDOM, 500.0, seed=7)
-        assert [n.pos for n in a] == [n.pos for n in b]
+        assert a == b
+        assert list(a) == list(range(25))
 
     def test_uniform_random_stays_inside_area(self):
-        for node in place_nodes(50, Placement.UNIFORM_RANDOM, 500.0, seed=3):
-            assert 0.0 <= node.pos[0] <= 500.0
-            assert 0.0 <= node.pos[1] <= 500.0
+        for x, y in place_nodes(50, Placement.UNIFORM_RANDOM, 500.0, seed=3).values():
+            assert 0.0 <= x <= 500.0
+            assert 0.0 <= y <= 500.0
 
     def test_zero_count_rejected(self):
         with pytest.raises(EmptyScenarioError):
             place_nodes(0, Placement.GRID, 500.0)
 
     def test_exactly_one_source(self):
+        # One source per topology holds by type; a built placement floods
+        # from node 0.
         nodes = place_nodes(9, Placement.GRID, 500.0)
-        assert sum(1 for n in nodes if n.role is Role.SOURCE) == 1
+        assert build_topology(nodes, 100.0).source == 0
 
 
 class TestBuildTopology:
@@ -77,8 +74,7 @@ class TestBuildTopology:
         assert t.adjacency[2] == frozenset({1})
 
     def test_out_of_range_pair_has_no_edge(self):
-        nodes = [Node(0, Role.SOURCE, (0.0, 0.0)), Node(1, Role.CLIENT, (150.0, 0.0))]
-        t = build_topology(nodes, 100.0)
+        t = build_topology({0: (0.0, 0.0), 1: (150.0, 0.0)}, 100.0)
         assert t.adjacency[0] == frozenset()
         assert t.adjacency[1] == frozenset()
 
@@ -87,11 +83,12 @@ class TestBuildTopology:
         # adjacency builder.
         nodes = place_nodes(25, Placement.GRID, 500.0)
         spacing = grid_spacing(25, 500.0)
+        positions = list(nodes.values())
         expected = sum(
             1
-            for i, a in enumerate(nodes)
-            for b in nodes[i + 1 :]
-            if math.dist(a.pos, b.pos) <= spacing
+            for i, a in enumerate(positions)
+            for b in positions[i + 1 :]
+            if math.dist(a, b) <= spacing
         )
         assert expected == 40
         t = build_topology(nodes, spacing)
@@ -104,7 +101,7 @@ class TestBuildTopology:
                 for v in t.node_ids():
                     linked = v in t.adjacency[u]
                     should = u != v and math.dist(
-                        t.nodes[u].pos, t.nodes[v].pos
+                        t.nodes[u], t.nodes[v]
                     ) <= t.radio_range
                     assert linked == should
 
@@ -155,25 +152,26 @@ class TestNeighborhoods:
         with pytest.raises(UnknownNodeError):
             two_hop(t, 99)
 
+    def test_source_must_be_a_node(self):
+        nodes = {0: (0.0, 0.0), 1: (50.0, 0.0)}
+        with pytest.raises(UnknownNodeError):
+            build_topology(nodes, 100.0, source=2)
+        assert build_topology(nodes, 100.0, source=1).source == 1
+
 
 class TestConnectivity:
     def test_path_is_connected(self):
         assert is_connected(path3())
 
     def test_two_disjoint_edges_not_connected(self):
-        nodes = [
-            Node(0, Role.SOURCE, (0.0, 0.0)),
-            Node(1, Role.CLIENT, (50.0, 0.0)),
-            Node(2, Role.CLIENT, (400.0, 0.0)),
-            Node(3, Role.CLIENT, (450.0, 0.0)),
-        ]
+        nodes = {0: (0.0, 0.0), 1: (50.0, 0.0), 2: (400.0, 0.0), 3: (450.0, 0.0)}
         assert not is_connected(build_topology(nodes, 100.0))
 
     def test_grid25_connected(self):
         assert is_connected(grid_topology(25))
 
     def test_degenerate_topologies_connected(self):
-        assert is_connected(build_topology([Node(0, Role.SOURCE, (0.0, 0.0))], 100.0))
+        assert is_connected(build_topology({0: (0.0, 0.0)}, 100.0))
 
 
 class TestReconfigure:
@@ -182,9 +180,7 @@ class TestReconfigure:
         t2 = reconfigure(t, MobilityStep(0.0, 500.0), seed=9)
         assert t2.adjacency == t.adjacency
         assert t2.epoch == t.epoch + 1
-        assert {u: n.pos for u, n in t2.nodes.items()} == {
-            u: n.pos for u, n in t.nodes.items()
-        }
+        assert t2.nodes == t.nodes
 
     def test_same_seed_same_result(self):
         t = grid_topology(25)
@@ -197,8 +193,8 @@ class TestReconfigure:
         t = grid_topology(25)
         moved = reconfigure(t, MobilityStep(50.0, 500.0), seed=3)
         for u in t.node_ids():
-            before = t.nodes[u].pos
-            after = moved.nodes[u].pos
+            before = t.nodes[u]
+            after = moved.nodes[u]
             assert math.dist(before, after) <= 50.0 + 1e-9
             assert 0.0 <= after[0] <= 500.0
             assert 0.0 <= after[1] <= 500.0
@@ -206,8 +202,9 @@ class TestReconfigure:
     def test_source_never_moves(self):
         t = grid_topology(25)
         moved = reconfigure(t, MobilityStep(80.0, 500.0), seed=4)
-        src = t.source_id
-        assert moved.nodes[src].pos == t.nodes[src].pos
+        src = t.source
+        assert moved.source == src
+        assert moved.nodes[src] == t.nodes[src]
 
 
 class TestTopologyFile:
@@ -218,12 +215,8 @@ class TestTopologyFile:
         back = load_topology(path)
         assert back.adjacency == t.adjacency
         assert back.radio_range == t.radio_range
-        assert {u: n.pos for u, n in back.nodes.items()} == {
-            u: n.pos for u, n in t.nodes.items()
-        }
-        assert {u: n.role for u, n in back.nodes.items()} == {
-            u: n.role for u, n in t.nodes.items()
-        }
+        assert back.nodes == t.nodes
+        assert back.source == t.source
 
     def test_format_lines(self, tmp_path):
         t = path3()
@@ -242,7 +235,7 @@ def all_pairs_adjacency(nodes, radio_range):
     links = {i: set() for i in ids}
     for idx, u in enumerate(ids):
         for v in ids[idx + 1 :]:
-            if math.dist(nodes[u].pos, nodes[v].pos) <= radio_range:
+            if math.dist(nodes[u], nodes[v]) <= radio_range:
                 links[u].add(v)
                 links[v].add(u)
     return {i: frozenset(neigh) for i, neigh in links.items()}
@@ -294,11 +287,7 @@ def placements(draw):
     pool = draw(st.lists(st.tuples(coord, y), min_size=1, max_size=12))
     # Drawing from a small pool repeats positions: coincident nodes.
     positions = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
-    nodes = [
-        Node(i, Role.SOURCE if i == 0 else Role.CLIENT, pos)
-        for i, pos in enumerate(positions)
-    ]
-    return nodes, radio_range
+    return dict(enumerate(positions)), radio_range
 
 
 class TestGridAdjacency:
@@ -312,11 +301,7 @@ class TestGridAdjacency:
     def test_link_two_cells_apart(self):
         # 2.0 - (1 - 2**-53) rounds to 1.0, so the nodes link although they
         # are more than the range apart.
-        nodes = [
-            Node(0, Role.SOURCE, (1 - 2**-53, 0.0)),
-            Node(1, Role.CLIENT, (2.0, 0.0)),
-        ]
-        t = build_topology(nodes, 1.0)
+        t = build_topology({0: (1 - 2**-53, 0.0), 1: (2.0, 0.0)}, 1.0)
         assert all_pairs_adjacency(t.nodes, 1.0)[0] == {1}
         assert t.adjacency[0] == {1}
 
@@ -326,11 +311,7 @@ class TestGridAdjacency:
         # Starting a band at exactly the range past 0 would put that pair two
         # bands apart and miss the link.
         xs = [0.0, 1 - 2**-53, 1.0, 2.0]
-        nodes = [
-            Node(i, Role.SOURCE if i == 0 else Role.CLIENT, (x, 0.0))
-            for i, x in enumerate(xs)
-        ]
-        t = build_topology(nodes, 1.0)
+        t = build_topology({i: (x, 0.0) for i, x in enumerate(xs)}, 1.0)
         expected = {0: {1, 2}, 1: {0, 2, 3}, 2: {0, 1, 3}, 3: {1, 2}}
         assert all_pairs_adjacency(t.nodes, 1.0) == expected
         assert t.adjacency == expected
@@ -357,10 +338,7 @@ class TestGridAdjacency:
         "radio_range", [5e-324, 1e-310, 2.0**-960, 1.0, 1e300, math.inf, math.nan]
     )
     def test_extreme_values(self, coords, radio_range):
-        nodes = [
-            Node(i, Role.SOURCE if i == 0 else Role.CLIENT, pos)
-            for i, pos in enumerate((x, y) for x in coords for y in coords)
-        ]
+        nodes = dict(enumerate((x, y) for x in coords for y in coords))
         t = build_topology(nodes, radio_range)
         assert t.adjacency == all_pairs_adjacency(t.nodes, radio_range)
 
