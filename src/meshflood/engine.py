@@ -72,9 +72,10 @@ the neighbors the emitter had at transmission time; the `inflight=drop` flag
 instead re-checks adjacency on arrival and counts newly unreachable copies
 as lost in transit. Either way the bit-conservation identity is exact.
 
-Every key's drain yields a `_Trace`: its metrics writes at offsets from the
-key's first start, in time order, the nodes that first-received it and what
-it added to each tally. `execute` applies each trace through
+Every key's drain fills a `_Trace` of its own: its metrics writes at offsets
+from the key's first start, in time order, the nodes that first-received it
+and what it added to each tally. Each drain makes a new trace, so a stored
+trace is never written again. `execute` applies each trace through
 `MetricsSeries.record` at the key's start and adds the rest to the run, so
 static, mobile and `repeat_seq` keys write the series one way. A static run
 (no mobility step) with a new key per flood keeps the trace of the first
@@ -99,7 +100,7 @@ import math
 import random
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
 from typing import NamedTuple
@@ -110,7 +111,7 @@ from .fixtures import build_scenario_topology
 from .metrics import US, MetricsSeries
 from .protocol import DuplicateCache, Packet, admit, receive, release_hold
 # Unused here: benches/tracer.py wraps these three by name on this module,
-# until its fix of ROADMAP direction 1 wraps `receive` instead.
+# until its fix of ROADMAP direction 4 wraps `receive` instead.
 from .protocol import blind_flood_on_receive, expire_caches, on_receive  # noqa: F401
 from .relays import RELAY_ORDERS, RelayAssignment, cardinality_report, select_relays
 from .topology import (
@@ -283,25 +284,24 @@ def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
     )
 
 
-# The tallies a key's drain adds to; `_drain` resets them for each key.
-_TALLIES = (
-    "expected_bits",
-    "expected_packets",
-    "cache_evictions",
-    "relay_loop_violations",
-    "relays_truncated",
-)
+@dataclass
+class _Trace:
+    """One key's drain, filled as it runs: its metrics writes as (offset from
+    `start_us`, the key's first start, nodes, bits counter, wire bits) in
+    time order, so the last write's offset is its span; the nodes that
+    first-received the key; and what it added to each tally. Each drain
+    fills a new trace, so one that `execute` stores is never written again."""
 
+    start_us: int
+    writes: list[tuple[int, Collection[int], int, int]] = field(default_factory=list)
+    firsts: set[int] = field(default_factory=set)
+    tallies: Counter[str] = field(default_factory=Counter)
 
-class _Trace(NamedTuple):
-    """One key's drain: its metrics writes as (offset from the key's first
-    start, nodes, bits counter, wire bits) in time order, so the last
-    write's offset is its span; the nodes that first-received it; and what
-    it added to each tally."""
-
-    writes: list[tuple[int, Collection[int], int, int]]
-    firsts: set[int]
-    tallies: dict[str, int]
+    def record(
+        self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
+    ) -> None:
+        """Add a write at its offset from `start_us`."""
+        self.writes.append((now_us - self.start_us, nodes, bits_counter, wire_bits))
 
 
 class _Run:
@@ -354,9 +354,11 @@ class _Run:
             horizon_us=_us(cfg.sim_duration_s + drain_s + ser_max + 2.0)
         )
 
-        # The run's sum of each key's `_TALLIES`. `cache_evictions` counts
-        # fresh cache entries written: each would age out once the run has
-        # drained.
+        # The sum of every key's `trace.tallies`: `expected_bits` and
+        # `expected_packets` sent to receivers, `cache_evictions`,
+        # `relay_loop_violations` and `relays_truncated`. `cache_evictions`
+        # counts fresh cache entries written: each would age out once the
+        # run has drained.
         self.tallies: Counter[str] = Counter()
         self.delivered: Counter[int] = Counter()  # node -> keys first-received
         self.queue = EventQueue()
@@ -411,18 +413,12 @@ class _Run:
 
     # -- traffic helpers ------------------------------------------------
 
-    def record(
-        self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
-    ) -> None:
-        """Add a write to the key's trace, at its offset from `origin_us`."""
-        self.writes.append((now_us - self.origin_us, nodes, bits_counter, wire_bits))
-
     def _broadcast(self, emitter: int, pkt: Packet, now_us: int) -> None:
         topo = self.topo_at(now_us)
         arrival, receivers = transmit(topo, emitter, pkt, now_us, self.cfg.channel_bps)
-        wire = pkt.wire_size_bits
-        self.expected_bits += wire * len(receivers)
-        self.expected_packets += len(receivers)
+        tallies = self.trace.tallies
+        tallies["expected_bits"] += pkt.wire_size_bits * len(receivers)
+        tallies["expected_packets"] += len(receivers)
         if receivers:
             wave = self.waves.get(arrival)
             if wave is None:
@@ -443,8 +439,8 @@ class _Run:
             created_at_us=now,
         )
         if admit(self.cache, self.source, now):
-            self.cache_evictions += 1
-        self.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
+            self.trace.tallies["cache_evictions"] += 1
+        self.trace.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
         self._broadcast(self.source, pkt, now)
 
     def handle_receive(self, ev: Event) -> None:
@@ -474,15 +470,16 @@ class _Run:
             group[2] += firsts
             group[3] += relaying
         emits = []
+        trace = self.trace
         for pkt, (lost, dups, firsts, relaying) in outcomes.items():
-            self.reached.update(firsts)
+            trace.firsts.update(firsts)
             # `receive` wrote seen[node] = now at each first reception: a
             # fresh entry.
-            self.cache_evictions += len(firsts)
+            trace.tallies["cache_evictions"] += len(firsts)
             wire = pkt.wire_size_bits
-            self.record(now, lost, mx.BITS_LOST, wire)
-            self.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
-            self.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
+            trace.record(now, lost, mx.BITS_LOST, wire)
+            trace.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
+            trace.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
             if relaying:
                 emits.append((pkt, relaying))
         if emits:
@@ -491,16 +488,17 @@ class _Run:
 
     def handle_relay_emit(self, ev: Event) -> None:
         now = ev.time_us
+        trace = self.trace
         if now >= self.cutoff_us:
-            self.relays_truncated += sum(len(nodes) for _, nodes in ev.data)
+            trace.tallies["relays_truncated"] += sum(len(nodes) for _, nodes in ev.data)
             return
         relayed = self.relayed
         for pkt, nodes in ev.data:
             out = release_hold(pkt, self.cfg.header_bits_per_relay)
-            self.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
+            trace.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
             for node in nodes:
                 if node in relayed:
-                    self.relay_loop_violations += 1
+                    trace.tallies["relay_loop_violations"] += 1
                 relayed.add(node)
                 self._broadcast(node, out, now)
 
@@ -526,24 +524,19 @@ class _Run:
         self._finalize()
         return self.series
 
-    def _start_key(self, origin_us: int) -> None:
-        """Fresh state for the key whose first flood starts at `origin_us`: a
+    def _start_key(self, start_us: int) -> None:
+        """Fresh state for the key whose first flood starts at `start_us`: a
         queue of the run's queue class, its waves keyed by arrival time, its
-        cache, the nodes that first-received and relayed it, its tallies, and
-        its writes at offsets from `origin_us`."""
+        cache, the nodes that relayed it, and a new trace to fill."""
         self.queue = type(self.queue)()
         self.waves: dict[int, list] = {}
         self.cache = DuplicateCache(_us(self.cfg.duplicate_ttl_s))
-        self.reached: set[int] = set()
         self.relayed: set[int] = set()
-        self.origin_us = origin_us
-        self.writes: list[tuple[int, Collection[int], int, int]] = []
-        for name in _TALLIES:
-            setattr(self, name, 0)
+        self.trace = _Trace(start_us)
 
     def _drain(self, starts: Collection[int]) -> _Trace:
         """Drain the key whose floods start at `starts` on fresh key state
-        (see `_start_key`) and return its trace."""
+        (see `_start_key`) and return the trace it filled."""
         self._start_key(starts[0])
         queue = self.queue
         for start in starts:
@@ -553,14 +546,9 @@ class _Run:
             EventKind.RECEIVE: self.handle_receive,
             EventKind.RELAY_EMIT: self.handle_relay_emit,
         }
-        last_us = 0
         while (ev := queue.pop()) is not None:
-            if ev.time_us < last_us:
-                raise AccountingError("event time went backwards")
-            last_us = ev.time_us
             handlers[ev.kind](ev)
-        tallies = {name: getattr(self, name) for name in _TALLIES}
-        return _Trace(self.writes, self.reached, tallies)
+        return self.trace
 
     def _finalize(self) -> None:
         series, tallies = self.series, self.tallies

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -48,24 +48,17 @@ class Topology:
     """Immutable snapshot of node positions and their disk adjacency.
 
     `nodes` maps each node id to its position in meters, and `source` is the
-    id of the one node that floods originate from.
-
-    `edges`, when given, is taken as the adjacency: `build_topology` passes
-    the disk adjacency it built, and a reader of a `save_topology` file
-    passes its links. Otherwise the disk adjacency of the positions is built
-    on first read.
+    id of the one node that floods originate from. The links are always the
+    disk adjacency of the positions, built on first read.
     """
 
     nodes: dict[int, tuple[float, float]]
     radio_range: float
     epoch: int = 0
     source: int = 0
-    edges: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:
-        if self.edges is not None:
-            return self.edges
         return _disk_adjacency(self.nodes, self.radio_range)
 
     def node_ids(self) -> list[int]:
@@ -180,9 +173,11 @@ def build_topology(
         raise ValueError("radio_range must be positive")
     if source not in nodes:
         raise UnknownNodeError(source)
-    nodes = dict(nodes)  # the snapshot owns its positions
-    adjacency = _disk_adjacency(nodes, radio_range)
-    return Topology(nodes, radio_range, source=source, edges=adjacency)
+    # The snapshot owns a copy of the positions, and its links are built at
+    # set-up rather than on first read.
+    topo = Topology(dict(nodes), radio_range, source=source)
+    topo.adjacency
+    return topo
 
 
 def two_hop(t: Topology, u: int) -> frozenset[int]:

@@ -13,7 +13,7 @@ from meshflood.metrics import (
     CSV_HEADER,
     MetricsSeries,
 )
-from meshflood.topology import Topology
+from meshflood.topology import Topology, build_topology
 
 
 def parse_csv(path) -> dict[int, dict[int, list[int]]]:
@@ -75,8 +75,9 @@ def reference_csv(series: MetricsSeries, path) -> None:
 
 
 def load_topology(path) -> Topology:
-    """Read a topology file written by `save_topology`; edges are taken as
-    given."""
+    """Read a topology file written by `save_topology`. Its links are rebuilt
+    from its positions; edge lines that differ from them are a
+    `ValueError`."""
     nodes: dict[int, tuple[float, float]] = {}
     links: dict[int, set[int]] = {}
     radio_range = 0.0
@@ -100,5 +101,7 @@ def load_topology(path) -> Topology:
                 links[v].add(u)
             else:
                 raise ValueError(f"unrecognized topology line: {raw.strip()}")
-    edges = {u: frozenset(s) for u, s in links.items()}
-    return Topology(nodes, radio_range, source=source, edges=edges)
+    topo = build_topology(nodes, radio_range, source)
+    if topo.adjacency != {u: frozenset(s) for u, s in links.items()}:
+        raise ValueError("edge lines differ from the disk links of the positions")
+    return topo

@@ -35,7 +35,8 @@ from meshflood.metrics import export_csv, export_summary
 from meshflood.protocol import DuplicateCache, Packet
 from meshflood.relays import select_relays
 from meshflood.topology import MobilityStep, reconfigure
-from readers import node_totals
+import reference_engine
+from readers import node_totals, parse_csv
 
 
 def random_events(seed, n):
@@ -275,6 +276,22 @@ MOBILE_DROP = SimConfig(
 )
 
 
+# One key, with hold = TTL = interval on a zero-delay channel: every
+# emission falls on a whole second, copies of one key meet at one instant,
+# every node re-arms each second, and relays run until the drain cutoff,
+# which falls on a whole second too.
+ZERO_DELAY_REFLOOD = SimConfig(
+    fixture="path:12",
+    mode=MODE_BLIND,
+    repeat_seq=True,
+    hold_time_s=1.0,
+    duplicate_ttl_s=1.0,
+    packet_interval_s=1.0,
+    sim_duration_s=10,
+    channel_bps=10**12,
+)
+
+
 def us(seconds):
     return round(seconds * mx.US)
 
@@ -318,11 +335,14 @@ class EagerRun(_Run):
 class TiedQueue:
     """The queue of the references that push two events at one (time, kind)
     on purpose, which `EventQueue` rejects: it pops by (time, kind,
-    `rank(event)`, insertion), with rank 0 unless a subclass ranks."""
+    `rank(event)`, insertion), with rank 0 unless a subclass ranks. Nothing
+    stops a push before the last pop here, so a pop that goes back in time
+    raises."""
 
     def __init__(self):
         self.heap = []
         self.pushed = itertools.count()
+        self.last_us = 0
 
     def __len__(self):
         return len(self.heap)
@@ -335,7 +355,13 @@ class TiedQueue:
         heapq.heappush(self.heap, key + (event,))
 
     def pop(self):
-        return heapq.heappop(self.heap)[-1] if self.heap else None
+        if not self.heap:
+            return None
+        event = heapq.heappop(self.heap)[-1]
+        if event.time_us < self.last_us:
+            raise AccountingError("event time went backwards")
+        self.last_us = event.time_us
+        return event
 
 
 def ranked_queue(rank):
@@ -367,8 +393,9 @@ class PerBroadcastRun(_Run):
     def _broadcast(self, emitter, pkt, now_us):
         topo = self.topo_at(now_us)
         arrival, receivers = transmit(topo, emitter, pkt, now_us, self.cfg.channel_bps)
-        self.expected_bits += pkt.wire_size_bits * len(receivers)
-        self.expected_packets += len(receivers)
+        tallies = self.trace.tallies
+        tallies["expected_bits"] += pkt.wire_size_bits * len(receivers)
+        tallies["expected_packets"] += len(receivers)
         if receivers:
             copy = (emitter, pkt, receivers, topo)
             self.queue.push(Event(arrival, EventKind.RECEIVE, copy))
@@ -468,8 +495,8 @@ class SharedQueueRun(_Run):
         trace = self._drain(range(0, duration, self.interval_us))
         apply_writes(self)
         self.tallies.update(trace.tallies)
-        for _, _, reached, _ in self.keys.values():
-            self.delivered.update(reached)
+        for _, _, firsts, _ in self.keys.values():
+            self.delivered.update(firsts)
         self._finalize()
         return self.series
 
@@ -490,15 +517,16 @@ class SharedQueueRun(_Run):
         if key not in self.keys:
             self.keys[key] = ({}, DuplicateCache(self.cache.ttl_us), set(), set())
         self.key = key
-        self.waves, self.cache, self.reached, self.relayed = self.keys[key]
+        self.waves, self.cache, self.trace.firsts, self.relayed = self.keys[key]
 
 
 def apply_writes(r):
-    """Apply the writes `r`'s handlers made since the last call to its series,
-    as `execute` applies a trace, and forget them."""
-    for offset, nodes, counter, wire in r.writes:
-        r.series.record(r.origin_us + offset, nodes, counter, wire)
-    r.writes.clear()
+    """Apply the writes `r`'s handlers made to its trace since the last call
+    to its series, as `execute` applies a trace, and forget them."""
+    trace = r.trace
+    for offset, nodes, counter, wire in trace.writes:
+        r.series.record(trace.start_us + offset, nodes, counter, wire)
+    trace.writes.clear()
 
 
 def pop_log(base):
@@ -568,18 +596,7 @@ class TestRun:
     # One key, with hold = TTL = interval: from 2 s on, the source's copy
     # and a relayed copy, of two sizes, meet in one wave each second and
     # both have relays, which must leave in one RELAY_EMIT.
-    @example(
-        SimConfig(
-            fixture="path:12",
-            mode=MODE_BLIND,
-            repeat_seq=True,
-            hold_time_s=1.0,
-            duplicate_ttl_s=1.0,
-            packet_interval_s=1.0,
-            sim_duration_s=10,
-            channel_bps=10**12,
-        )
-    )
+    @example(ZERO_DELAY_REFLOOD)
     def test_zero_delay_channel_matches_one_receive_per_broadcast(self, cfg):
         # 10**12 bps floors every serialization delay to 0 us, so a copy
         # arrives at the instant it is sent, in the wave that instant's
@@ -818,7 +835,7 @@ class TestRun:
         late.cutoff_us = relay_emit.time_us
         late.handle_relay_emit(late.queue.pop())
         apply_writes(late)
-        assert late.relays_truncated == 3
+        assert late.trace.tallies["relays_truncated"] == 3
         assert node_totals(late.series, mx.BITS_RELAYED) == {}
 
     @settings(max_examples=40, deadline=None)
@@ -1208,6 +1225,32 @@ class TestRun:
             SimConfig(fixture="path:3", payload_bits=12_000_000, sim_duration_s=10)
         )
         assert loud.meta["channel_overloaded"] is True
+
+
+class TestReferenceEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(scheduled_configs())
+    @example(MOBILE_DROP)
+    @example(ZERO_DELAY_REFLOOD)
+    def test_series_and_tallies_match_the_reference_engine(self, cfg):
+        # The cells of `series.csv`, read back, and the tallies must equal
+        # those of a simulator that shares no code with `_Run`; the tallies
+        # are compared by summary key, so a misspelled one shows too.
+        cfg.validate()
+        topo = scenario_topology(cfg)
+        series = run(cfg, topo)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "series.csv")
+            export_csv(series, path)
+            buckets = parse_csv(path)
+        cells = {
+            (t, node): row
+            for t, per_node in buckets.items()
+            for node, row in per_node.items()
+        }
+        expected_cells, tallies = reference_engine.simulate(cfg, topo)
+        assert cells == expected_cells
+        assert {name: series.meta[name] for name in tallies} == tallies
 
 
 def static_flood_model(cfg, topo):

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshflood.errors import SizeLimitError, StaleAssignmentError
@@ -16,6 +16,7 @@ from meshflood.fixtures import (
     random_disk_topology,
 )
 from meshflood.relays import (
+    BRUTE_FORCE_MAX_NODES,
     ORDER_ASCENDING,
     ORDER_DEGREE,
     ORDER_DESCENDING,
@@ -217,6 +218,78 @@ class TestBruteForceOracle:
         nodes = {0: (0.0, 0.0), 1: (90.0, 0.0), 2: (90.0, 90.0), 3: (0.0, 90.0)}
         t = build_topology(nodes, 100.0)
         assert brute_force_min_relays(t) == {0, 1}
+
+
+def pair_middles(t):
+    """Each 2-hop pair and the nodes adjacent to both of its ends."""
+    return {
+        (u, w): t.adjacency[u] & t.adjacency[w] for u, w in sorted(two_hop_pairs(t))
+    }
+
+
+def forced_relays(t):
+    """The nodes that are the only middle of some 2-hop pair: every valid
+    cover holds them."""
+    return {next(iter(mids)) for mids in pair_middles(t).values() if len(mids) == 1}
+
+
+def exact_min_relays(t):
+    """The size of a minimum relay cover: a set-cover integer program over
+    the pair/middle incidence matrix, solved by `scipy.optimize.milp`."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    middles = list(pair_middles(t).values())
+    if not middles:
+        return 0
+    column = {v: j for j, v in enumerate(sorted(set().union(*middles)))}
+    rows = [i for i, mids in enumerate(middles) for _ in mids]
+    cols = [column[v] for mids in middles for v in mids]
+    incidence = sparse.csr_array(
+        ([1.0] * len(rows), (rows, cols)), shape=(len(middles), len(column))
+    )
+    res = optimize.milp(
+        [1.0] * len(column),
+        constraints=optimize.LinearConstraint(incidence, lb=1.0),
+        integrality=[1] * len(column),
+        bounds=optimize.Bounds(0.0, 1.0),
+    )
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+class TestExactCover:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.builds(
+            random_connected_topology,
+            st.integers(min_value=1, max_value=500),
+            st.integers(min_value=0, max_value=10**6),
+        )
+    )
+    # The topologies of the benchmark's three workloads.
+    @example(grid_topology(121))
+    @example(random_connected_topology(400, 0))
+    @example(random_connected_topology(500, 0))
+    def test_forced_le_exact_le_heuristic(self, t):
+        forced = forced_relays(t)
+        exact = exact_min_relays(t)
+        assert len(forced) <= exact
+        for order in (ORDER_ASCENDING, ORDER_DESCENDING, ORDER_DEGREE):
+            relays = select_relays(t, order).relays
+            assert forced <= set(relays), order
+            assert exact <= len(relays), order
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=BRUTE_FORCE_MAX_NODES),
+        seed=st.integers(min_value=0, max_value=10**6),
+        radio_range=st.floats(min_value=20.0, max_value=400.0),
+    )
+    def test_integer_program_matches_subset_enumeration(self, n, seed, radio_range):
+        # Two exact solvers that share no code; a minimum cover need not be
+        # unique, so only the sizes are compared.
+        t = random_disk_topology(n, seed, radio_range)
+        assert exact_min_relays(t) == len(brute_force_min_relays(t))
 
 
 class TestCardinalityReport:

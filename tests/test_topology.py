@@ -218,6 +218,15 @@ class TestTopologyFile:
         assert back.nodes == t.nodes
         assert back.source == t.source
 
+    def test_edge_lines_that_differ_from_the_positions_are_rejected(self, tmp_path):
+        path = tmp_path / "topology.txt"
+        save_topology(path3(), path)
+        text = path.read_text()
+        for edited in (text.replace("edge 1 2\n", ""), text + "edge 0 2\n"):
+            path.write_text(edited)
+            with pytest.raises(ValueError, match="edge lines differ"):
+                load_topology(path)
+
     def test_format_lines(self, tmp_path):
         t = path3()
         path = tmp_path / "topology.txt"
