@@ -75,21 +75,26 @@ as lost in transit. Either way the bit-conservation identity is exact.
 Every key's drain fills a `_Trace` of its own: its metrics writes at offsets
 from the key's first start, in time order, the nodes that first-received it
 and what it added to each tally. Each drain makes a new trace, so a stored
-trace is never written again. `execute` applies each trace through
-`MetricsSeries.record` at the key's start and adds the rest to the run, so
-static, mobile and `repeat_seq` keys write the series one way. A static run
-(no mobility step) with a new key per flood keeps the trace of the first
-flood of each payload size and applies it again for each later flood of
-that size instead of draining that flood. Why this is exact: keys are
-independent, as above; a static run's topology and cover never change and
-`inflight=drop` loses nothing; times are integer microseconds and TTL
+trace is never written again. `execute` merges each trace into the run's
+series once per key and adds the rest to the run, so static, mobile and
+`repeat_seq` keys write the series one way. The merge splits the key's start
+into whole seconds and a phase (`start % US`): the trace records its writes
+at phase plus offset through `MetricsSeries.record` into a part series, once
+per phase and cached, and `MetricsSeries.merge` adds that part's cells at
+the whole-second shift, one int addition per cell. A static run (no mobility
+step) with a new key per flood keeps the trace of the first flood of each
+payload size and merges it again for each later flood of that size instead
+of draining that flood; with a whole-second packet interval every flood
+shares one phase, so the trace is recorded once. Why this is exact: keys
+are independent, as above; a static run's topology and cover never change
+and `inflight=drop` loses nothing; times are integer microseconds and TTL
 ageing is relative to the flood's start. Only three things depend on
-absolute time: the bucket, which `record` computes when the trace is
-applied; the horizon, which `record` still checks; and the cutoff. A trace
-is reused only if its last write, shifted to the new start, falls before
-the cutoff, and one that truncated a relay is never kept; any other flood is
-drained. Traces are keyed by payload bits, so a `rate_schedule` stays
-exact.
+absolute time: the bucket, which is the part's bucket plus the shift; the
+horizon, which `merge` checks against the shifted last write; and the
+cutoff. A trace is reused only if its last write, shifted to the new start,
+falls before the cutoff, and one that truncated a relay is never kept; any
+other flood is drained. Traces are keyed by payload bits, so a
+`rate_schedule` stays exact.
 """
 
 from __future__ import annotations
@@ -290,18 +295,33 @@ class _Trace:
     `start_us`, the key's first start, nodes, bits counter, wire bits) in
     time order, so the last write's offset is its span; the nodes that
     first-received the key; and what it added to each tally. Each drain
-    fills a new trace, so one that `execute` stores is never written again."""
+    fills a new trace, so one that `execute` stores is never written again.
+    `parts` caches the trace's cells per start phase (see `cells`)."""
 
     start_us: int
     writes: list[tuple[int, Collection[int], int, int]] = field(default_factory=list)
     firsts: set[int] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
+    parts: dict[int, MetricsSeries] = field(default_factory=dict)
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
     ) -> None:
         """Add a write at its offset from `start_us`."""
         self.writes.append((now_us - self.start_us, nodes, bits_counter, wire_bits))
+
+    def cells(self, phase_us: int, like: MetricsSeries) -> MetricsSeries:
+        """The trace's writes recorded at `phase_us` plus their offsets, into
+        a series with `like`'s horizon and width, made once per phase. Merged
+        at `s` whole seconds, it adds what the writes add at a start of
+        `s * US + phase_us`."""
+        part = self.parts.get(phase_us)
+        if part is None:
+            part = MetricsSeries(like.horizon_us, width=like.width)
+            self.parts[phase_us] = part
+            for offset, nodes, counter, wire in self.writes:
+                part.record(phase_us + offset, nodes, counter, wire)
+        return part
 
 
 class _Run:
@@ -350,8 +370,10 @@ class _Run:
         ser_max = wire_max / cfg.channel_bps
         drain_s = (len(topo.nodes) + 2) * (cfg.hold_time_s + ser_max + 1.0) + 10.0
         self.cutoff_us = _us(cfg.sim_duration_s + drain_s)
+        # A counter field of a cell then carries only past 2**64 packets.
         self.series = MetricsSeries(
-            horizon_us=_us(cfg.sim_duration_s + drain_s + ser_max + 2.0)
+            horizon_us=_us(cfg.sim_duration_s + drain_s + ser_max + 2.0),
+            width=64 + wire_max.bit_length(),
         )
 
         # The sum of every key's `trace.tallies`: `expected_bits` and
@@ -507,7 +529,7 @@ class _Run:
     def execute(self) -> MetricsSeries:
         starts = range(0, _us(self.cfg.sim_duration_s), self.interval_us)
         keys = [starts] if self.cfg.repeat_seq else [[s] for s in starts]
-        traces, record = self.traces, self.series.record
+        traces, series = self.traces, self.series
         for i, floods in enumerate(keys):
             self.next_start_us = keys[i + 1][0] if i + 1 < len(keys) else math.inf
             start = floods[0]
@@ -517,8 +539,7 @@ class _Run:
                 trace = self._drain(floods)
                 if traces is not None and not trace.tallies["relays_truncated"]:
                     traces[payload] = trace
-            for offset, nodes, counter, wire in trace.writes:
-                record(start + offset, nodes, counter, wire)
+            series.merge(trace.cells(start % US, series), start // US)
             self.tallies.update(trace.tallies)
             self.delivered.update(trace.firsts)
         self._finalize()
@@ -553,6 +574,12 @@ class _Run:
     def _finalize(self) -> None:
         series, tallies = self.series, self.tallies
         totals = series.totals
+        # Cells are exact only while every field stays below 2**width.
+        emitted = totals[mx.BITS_SENT] + totals[mx.BITS_RELAYED]
+        if max(*totals, emitted) >> series.width:
+            raise AccountingError(
+                f"a run total reaches 2**{series.width}: metric cells may have carried"
+            )
         got_bits = (
             totals[mx.BITS_RECEIVED_FIRST]
             + totals[mx.BITS_RECEIVED_DUP]

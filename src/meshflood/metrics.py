@@ -8,15 +8,28 @@ each node. All amounts are integers; the accounting identity
     sent bits (wire size x receiver count, summed over transmissions)
       == first receptions + duplicate receptions + lost in transit
 
-is exact, never approximate. `record` also keeps the run's counter totals and
-per-node peak as it writes, so no reader scans the buckets; `export_csv`
-streams them to disk one second at a time.
+is exact, never approximate.
+
+A (second, node) cell is one int. Counter `i` of `COUNTERS` sits in bits
+[W*i, W*(i+1)), where W is the series' `width`, and a top field from bit
+W*len(COUNTERS) up holds the cell's emitted bits (`BITS_SENT` plus
+`BITS_RELAYED`). A write adds one int to each cell it touches, and
+`merge` adds a whole series' cells at a shift of whole seconds. Amounts are
+never negative, so a field only grows and never exceeds its counter's run
+total: while every run total stays below 2**W, no field carries into the
+next and every cell unpacks exactly (`row`). `totals` keeps the run totals
+as exact ints, so a caller can check that bound once, at the end of a run.
+Because the top field is the most significant, the largest cell of a bucket
+holds that bucket's largest emitted volume, and `peak` is the top field of
+the largest cell. `export_csv` streams the cells to disk one second at a
+time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import AccountingError, ComparisonError
 
@@ -24,8 +37,8 @@ US = 1_000_000  # microseconds per second
 
 # Five traffic classes, each with a bits and a packets counter. `COUNTERS`
 # lists the names in sorted order, which is `export_csv`'s row order, so a
-# class's packets counter sits `len(_CLASSES)` after its bits counter. A
-# (second, node) cell is a row of one int per counter; the constants index it.
+# class's packets counter sits `len(_CLASSES)` after its bits counter. The
+# constants index a cell's fields and a row of run totals.
 _CLASSES = ("lost_in_transit", "received_dup", "received_first", "relayed", "sent")
 COUNTERS = tuple(f"{unit}_{name}" for unit in ("bits", "packets") for name in _CLASSES)
 (BITS_LOST, BITS_RECEIVED_DUP, BITS_RECEIVED_FIRST, BITS_RELAYED, BITS_SENT,
@@ -40,32 +53,32 @@ CSV_HEADER = "t,node_id,counter,value"
 
 @dataclass
 class MetricsSeries:
-    """Sparse bucket map plus run-level metadata filled in by the engine.
+    """Sparse bucket map of packed cells plus run-level metadata filled in by
+    the engine.
 
     `horizon_us` is the configured run length plus the drain tail during
     which in-flight floods complete, in microseconds. Records beyond the
-    horizon indicate an engine bug. `record` keeps `totals`, the run total
-    row, and `peak`, the largest `BITS_SENT` plus `BITS_RELAYED` of a cell.
+    horizon indicate an engine bug. `width` is the bits per counter field
+    of a cell (see the module docstring). `record` and `merge` keep
+    `totals`, the run total row, and `last_us`, the latest time recorded.
     """
 
     horizon_us: int
-    buckets: dict[int, dict[int, list[int]]] = field(default_factory=dict)
+    buckets: dict[int, dict[int, int]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     totals: list[int] = field(default_factory=lambda: [0] * len(COUNTERS))
-    peak: int = 0
+    width: int = 64
+    last_us: int = -1
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
     ) -> None:
         """Count one packet of `wire_bits` bits at every node in `nodes`: add
         `wire_bits` to `bits_counter` (a `BITS_*` index) and 1 to the class's
-        packets counter, in the bucket for second `now_us // US` and in
-        `totals`. An empty `nodes` leaves the series unchanged.
-
-        A `BITS_SENT` or `BITS_RELAYED` write raises `peak` to the largest
-        emitted volume among the cells it wrote. Amounts are never negative,
-        so cells only grow, and the max over post-write values is the max
-        over final cells."""
+        packets counter, in the cell for second `now_us // US` and in
+        `totals`; a `BITS_SENT` or `BITS_RELAYED` write adds `wire_bits` to
+        the top field too. An empty `nodes` leaves the cells and totals
+        unchanged."""
         if wire_bits < 0:
             raise AccountingError(
                 f"negative amount {wire_bits} for {COUNTERS[bits_counter]}"
@@ -74,53 +87,91 @@ class MetricsSeries:
             raise AccountingError(
                 f"record at t={now_us} us outside horizon [0, {self.horizon_us}) us"
             )
+        self.last_us = max(self.last_us, now_us)
         if not nodes:
             return
         packets_counter = bits_counter + len(_CLASSES)
         self.totals[bits_counter] += wire_bits * len(nodes)
         self.totals[packets_counter] += len(nodes)
-        bucket = self.buckets.setdefault(now_us // US, {})
-        for node in nodes:
-            row = bucket.get(node)
-            if row is None:
-                row = bucket[node] = [0] * len(COUNTERS)
-            row[bits_counter] += wire_bits
-            row[packets_counter] += 1
+        w = self.width
+        inc = (wire_bits << w * bits_counter) + (1 << w * packets_counter)
         if bits_counter in (BITS_SENT, BITS_RELAYED):
-            emitted = (bucket[n][BITS_SENT] + bucket[n][BITS_RELAYED] for n in nodes)
-            self.peak = max(self.peak, *emitted)
+            inc += wire_bits << w * len(COUNTERS)
+        bucket = self.buckets.setdefault(now_us // US, {})
+        get = bucket.get
+        for node in nodes:
+            bucket[node] = get(node, 0) + inc
+
+    def merge(self, part: MetricsSeries, shift_s: int) -> None:
+        """Add `part`'s totals, and its cells `shift_s` whole seconds later.
+        `part` must have this series' width, and its last record, shifted,
+        must fall within the horizon."""
+        shifted_us = part.last_us + shift_s * US
+        if shifted_us >= self.horizon_us:
+            raise AccountingError(
+                f"merge ending at t={shifted_us} us outside horizon"
+                f" [0, {self.horizon_us}) us"
+            )
+        self.last_us = max(self.last_us, shifted_us)
+        self.totals[:] = map(add, self.totals, part.totals)
+        buckets = self.buckets
+        for t, cells in part.buckets.items():
+            bucket = buckets.get(t + shift_s)
+            if bucket is None:
+                buckets[t + shift_s] = cells.copy()
+            else:
+                get = bucket.get
+                for node, cell in cells.items():
+                    bucket[node] = get(node, 0) + cell
+
+    @property
+    def peak(self) -> int:
+        """The largest `BITS_SENT` plus `BITS_RELAYED` of a cell."""
+        top = max(
+            (max(cells.values(), default=0) for cells in self.buckets.values()),
+            default=0,
+        )
+        return top >> self.width * len(COUNTERS)
+
+    def row(self, cell: int) -> list[int]:
+        """A cell's counters, indexed like `totals`."""
+        w = self.width
+        mask = (1 << w) - 1
+        return [cell >> w * i & mask for i in range(len(COUNTERS))]
 
     # Unused in src/: benches/tracer.py wraps it by name; tests scan with it.
     def counter_total(self) -> list[int]:
         """Every counter summed across all buckets and nodes, from one scan,
         as a row indexed like a cell (`totals[BITS_SENT]`)."""
-        rows = (row for cells in self.buckets.values() for row in cells.values())
+        rows = (self.row(c) for cells in self.buckets.values() for c in cells.values())
         return [sum(column) for column in zip([0] * len(COUNTERS), *rows)]
 
 
 def export_csv(series: MetricsSeries, path) -> None:
     """Write `t,node_id,counter,value` rows sorted by (t, node, counter).
 
-    Zero-valued cells are omitted; byte output is a pure function of the
-    series content. Each distinct row is formatted once, into a template
-    of its non-zero `,<counter>,<value>` lines after an empty string, which
-    joined with a cell's `t,node` puts that prefix before every line. Each
-    second's lines are written as soon as they are built, so at most one
-    bucket's text is held.
+    Zero-valued counters are omitted; byte output is a pure function of the
+    series content. Each distinct cell is unpacked and formatted once, into
+    a template of its non-zero `,<counter>,<value>` lines after an empty
+    string, which joined with a cell's `t,node` puts that prefix before
+    every line. Each second's lines are written as soon as they are built,
+    so at most one bucket's text is held.
     """
     names = [f",{name}," for name in COUNTERS]
-    templates: dict[tuple[int, ...], tuple[str, ...]] = {}
+    templates: dict[int, tuple[str, ...]] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for t in sorted(series.buckets):
             per_node = series.buckets[t]
             lines = []
             for node in sorted(per_node):
-                row = tuple(per_node[node])
-                template = templates.get(row)
+                cell = per_node[node]
+                template = templates.get(cell)
                 if template is None:
-                    template = templates[row] = ("", *(
-                        f"{name}{value}\n" for name, value in zip(names, row) if value
+                    template = templates[cell] = ("", *(
+                        f"{name}{value}\n"
+                        for name, value in zip(names, series.row(cell))
+                        if value
                     ))
                 lines.append(f"{t},{node}".join(template))
             fh.write("".join(lines))

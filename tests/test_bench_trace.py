@@ -45,7 +45,8 @@ def test_traced_child_run_matches_untraced(tmp_path, mode):
     plain = run_child(tmp_path / "plain", False, text)
     assert "layers" in traced
     assert traced["digests"] == plain["digests"]
-    # `record` keeps the totals and the peak, so nothing scans the buckets.
+    # `record` and `merge` keep the totals and `peak` reads the packed
+    # cells, so nothing sums the buckets counter by counter.
     assert traced["layers"]["metrics.counter_total_calls"] == 0
     # The tracer divides the first cover's size by `len(topology.nodes)`.
     summary = read_summary(tmp_path / "traced" / "summary.txt")

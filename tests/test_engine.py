@@ -36,7 +36,7 @@ from meshflood.protocol import DuplicateCache, Packet
 from meshflood.relays import select_relays
 from meshflood.topology import MobilityStep, reconfigure
 import reference_engine
-from readers import node_totals, parse_csv
+from readers import node_totals, parse_csv, rows
 
 
 def random_events(seed, n):
@@ -289,6 +289,19 @@ ZERO_DELAY_REFLOOD = SimConfig(
     packet_interval_s=1.0,
     sim_duration_s=10,
     channel_bps=10**12,
+)
+
+
+# Static floods half a second apart whose relays emit 0.7 s after a
+# reception: a flood starting at a whole second writes its relays in the
+# same second, one starting half-way through writes them in the next, so
+# one trace must fill its cells once per phase.
+HALF_SECOND_PHASES = SimConfig(
+    fixture="path:5",
+    packet_interval_s=0.5,
+    hold_time_s=0.7,
+    duplicate_ttl_s=1.0,
+    sim_duration_s=5,
 )
 
 
@@ -806,7 +819,7 @@ class TestRun:
             apply_writes(r)
             runs.append(r)
         r = runs[0]
-        cells = r.series.buckets[0]
+        cells = rows(r.series)[0]
         assert cells[0][mx.BITS_RECEIVED_FIRST] == 2000
         assert cells[2][mx.BITS_RECEIVED_FIRST] == 2000
         assert cells[2][mx.BITS_RECEIVED_DUP] == 2200
@@ -824,7 +837,7 @@ class TestRun:
         # Each entry leaves with its own header.
         r.handle_relay_emit(relay_emit)
         apply_writes(r)
-        relayed = r.series.buckets[relay_emit.time_us // mx.US]
+        relayed = rows(r.series)[relay_emit.time_us // mx.US]
         assert {v: relayed[v][mx.BITS_RELAYED] for v in (0, 2, 4)} == {
             0: 2200,
             2: 2200,
@@ -1056,19 +1069,34 @@ class TestRun:
         assert mx.summarize(run(cfg))["total_packets_lost_in_transit"] > 0
 
         class LostWritesDropped(_Run):
-            def __init__(self, cfg, topo):
-                super().__init__(cfg, topo)
-                record = self.series.record
-
-                def record_all_but_lost(now_us, nodes, bits_counter, wire_bits):
-                    if bits_counter != mx.BITS_LOST:
-                        record(now_us, nodes, bits_counter, wire_bits)
-
-                self.series.record = record_all_but_lost
+            def _drain(self, starts):
+                trace = super()._drain(starts)
+                trace.writes = [w for w in trace.writes if w[2] != mx.BITS_LOST]
+                return trace
 
         r = LostWritesDropped(cfg, scenario_topology(cfg))
         with pytest.raises(AccountingError, match="bit conservation broken"):
             r.execute()
+
+    def test_a_run_total_at_two_to_the_width_fails_the_run(self):
+        # With 8-bit fields a cell stays exact while every run total, and
+        # the sent plus relayed bits of the top field, stays below 256.
+        cfg = SimConfig(fixture="fig3", sim_duration_s=10)
+        r = _Run(cfg, scenario_topology(cfg))
+
+        def finalize(*writes):
+            r.series = mx.MetricsSeries(horizon_us=r.series.horizon_us, width=8)
+            for counter, bits in writes:
+                r.series.record(0, (0,), counter, bits)
+            r._finalize()
+
+        finalize((mx.BITS_SENT, 200), (mx.BITS_RELAYED, 55))
+        for writes in (
+            [(mx.BITS_SENT, 200), (mx.BITS_SENT, 56)],
+            [(mx.BITS_SENT, 200), (mx.BITS_RELAYED, 56)],
+        ):
+            with pytest.raises(AccountingError, match=r"2\*\*8"):
+                finalize(*writes)
 
     @pytest.mark.parametrize("mode", [MODE_RELAY, MODE_BLIND])
     def test_copy_from_a_non_neighbor_surfaces_as_a_violation(self, mode):
@@ -1195,8 +1223,8 @@ class TestRun:
                 rate_schedule=((0.0, 2000), (10.0, 1000)),
             )
         )
-        assert series.buckets[0][0][mx.BITS_SENT] == 2000
-        assert series.buckets[10][0][mx.BITS_SENT] == 1000
+        assert series.row(series.buckets[0][0])[mx.BITS_SENT] == 2000
+        assert series.row(series.buckets[10][0])[mx.BITS_SENT] == 1000
 
     def test_single_node_scenario_runs(self):
         series = run(SimConfig(fixture="path:1", sim_duration_s=10))
@@ -1232,6 +1260,7 @@ class TestReferenceEngine:
     @given(scheduled_configs())
     @example(MOBILE_DROP)
     @example(ZERO_DELAY_REFLOOD)
+    @example(HALF_SECOND_PHASES)
     def test_series_and_tallies_match_the_reference_engine(self, cfg):
         # The cells of `series.csv`, read back, and the tallies must equal
         # those of a simulator that shares no code with `_Run`; the tallies

@@ -17,7 +17,14 @@ from meshflood.metrics import (
     export_summary,
     summarize,
 )
-from readers import parse_csv, peak_node_bits_per_second, reference_csv
+from readers import (
+    RowSeries,
+    pack,
+    parse_csv,
+    peak_node_bits_per_second,
+    reference_csv,
+    rows,
+)
 
 
 BITS_COUNTERS = (
@@ -78,22 +85,24 @@ class TestRecord:
     def test_amount_lands_in_floor_bucket(self):
         series = MetricsSeries(horizon_us=300 * US)
         series.record(500_000, (3,), mx.BITS_SENT, 2000)
-        assert series.buckets[0][3][mx.BITS_SENT] == 2000
-        assert series.buckets[0][3][mx.PACKETS_SENT] == 1
+        row = series.row(series.buckets[0][3])
+        assert row[mx.BITS_SENT] == 2000
+        assert row[mx.PACKETS_SENT] == 1
 
     def test_second_edges(self):
         series = MetricsSeries(horizon_us=300 * US)
         series.record(US - 1, (3,), mx.BITS_SENT, 10)
         series.record(US, (3,), mx.BITS_SENT, 20)
-        assert series.buckets[0][3][mx.BITS_SENT] == 10
-        assert series.buckets[1][3][mx.BITS_SENT] == 20
+        assert series.row(series.buckets[0][3])[mx.BITS_SENT] == 10
+        assert series.row(series.buckets[1][3])[mx.BITS_SENT] == 20
 
     def test_same_bucket_is_additive(self):
         series = MetricsSeries(horizon_us=300 * US)
         series.record(1_200_000, (3,), mx.BITS_SENT, 100)
         series.record(1_900_000, (3,), mx.BITS_SENT, 50)
-        assert series.buckets[1][3][mx.BITS_SENT] == 150
-        assert series.buckets[1][3][mx.PACKETS_SENT] == 2
+        row = series.row(series.buckets[1][3])
+        assert row[mx.BITS_SENT] == 150
+        assert row[mx.PACKETS_SENT] == 2
 
     def test_beyond_duration_rejected(self):
         series = MetricsSeries(horizon_us=300 * US)
@@ -122,7 +131,7 @@ class TestRecord:
             cell[mx.PACKETS_RECEIVED_DUP] = packets
             return cell
 
-        assert series.buckets == {
+        assert rows(series) == {
             2: {4: row(300, 1), 1: row(305, 2), 7: row(300, 1)}
         }
 
@@ -157,17 +166,57 @@ class TestRecord:
         # Each packets column is its class's number of writes to the cell.
         assert {
             (second, node): row
-            for second, per_node in batched.buckets.items()
+            for second, per_node in rows(batched).items()
             for node, row in per_node.items()
         } == expected
 
         brute = [0] * len(mx.COUNTERS)
-        for per_node in batched.buckets.values():
+        for per_node in rows(batched).values():
             for row in per_node.values():
                 for i, value in enumerate(row):
                     brute[i] += value
         assert batched.counter_total() == brute
         assert all(per_node for per_node in batched.buckets.values())
+
+    @given(
+        record_calls,
+        st.booleans(),
+        st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    )
+    def test_record_and_merge_match_the_row_oracle(self, writes, wide, shifts):
+        # `wide` moves every non-zero amount just below 2**64. The fields
+        # are as narrow as the run totals allow, so the largest total sits
+        # in [2**(W-1), 2**W): the tightest width at which no field carries.
+        if wide:
+            writes = [(t, nodes, c, w and 2**64 - w) for t, nodes, c, w in writes]
+        oracle = RowSeries(horizon_us=16 * US)
+        for shift in (0, *shifts):
+            for now_us, nodes, bits_counter, wire_bits in writes:
+                oracle.record(now_us + shift * US, nodes, bits_counter, wire_bits)
+        emitted = oracle.totals[mx.BITS_SENT] + oracle.totals[mx.BITS_RELAYED]
+        width = max(1, emitted.bit_length(), *(t.bit_length() for t in oracle.totals))
+
+        series = MetricsSeries(horizon_us=16 * US, width=width)
+        part = MetricsSeries(horizon_us=10 * US, width=width)
+        for write in writes:
+            series.record(*write)
+            part.record(*write)
+        for shift in shifts:
+            series.merge(part, shift)
+        assert rows(series) == oracle.buckets
+        assert series.totals == oracle.totals
+        assert series.peak == peak_node_bits_per_second(series) == oracle.peak
+
+    def test_merge_checks_the_shifted_last_write_against_the_horizon(self):
+        part = MetricsSeries(horizon_us=10 * US)
+        part.record(2 * US + 7, (1,), mx.BITS_SENT, 10)
+        part.record(2 * US + 9, (), mx.BITS_LOST, 10)  # no cell, still the last
+        series = MetricsSeries(horizon_us=5 * US + 9)
+        series.merge(part, 2)
+        with pytest.raises(AccountingError, match="horizon"):
+            series.merge(part, 3)
+        assert series.totals == part.totals
+        assert series.buckets == {4: part.buckets[2]}
 
     @given(record_calls)
     def test_running_totals_and_peak_match_a_scan(self, writes):
@@ -259,11 +308,13 @@ class TestCsv:
         series = run(SimConfig(fixture="fig3", sim_duration_s=30))
         path = tmp_path / "series.csv"
         export_csv(series, path)
-        assert parse_csv(path) == series.buckets
+        assert parse_csv(path) == rows(series)
 
     @given(bucket_maps)
     def test_export_matches_reference_writer(self, buckets):
-        series = MetricsSeries(horizon_us=401 * US, buckets=buckets)
+        cells = {t: {n: pack(row) for n, row in per_node.items()}
+                 for t, per_node in buckets.items()}
+        series = MetricsSeries(horizon_us=401 * US, buckets=cells)
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
             export_csv(series, got)
@@ -282,6 +333,19 @@ class TestCsv:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 10
+
+    def test_series_holds_under_200_bytes_per_cell(self):
+        # The run of the test above: about 22,000 cells, each one int.
+        cfg = SimConfig(mode="relay", fixture="grid:121", node_count=121,
+                        sim_duration_s=360)
+        tracemalloc.start()
+        try:
+            series = run(cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cells = sum(map(len, series.buckets.values()))
+        assert held <= 200 * cells
 
     def test_unknown_counter_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
