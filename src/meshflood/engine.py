@@ -75,26 +75,28 @@ as lost in transit. Either way the bit-conservation identity is exact.
 Every key's drain fills a `_Trace` of its own: its metrics writes at offsets
 from the key's first start, in time order, the nodes that first-received it
 and what it added to each tally. Each drain makes a new trace, so a stored
-trace is never written again. `execute` merges each trace into the run's
-series once per key and adds the rest to the run, so static, mobile and
-`repeat_seq` keys write the series one way. The merge splits the key's start
-into whole seconds and a phase (`start % US`): the trace records its writes
-at phase plus offset through `MetricsSeries.record` into a part series, once
-per phase and cached, and `MetricsSeries.merge` adds that part's cells at
-the whole-second shift, one int addition per cell. A static run (no mobility
-step) with a new key per flood keeps the trace of the first flood of each
-payload size and merges it again for each later flood of that size instead
-of draining that flood; with a whole-second packet interval every flood
-shares one phase, so the trace is recorded once. Why this is exact: keys
-are independent, as above; a static run's topology and cover never change
-and `inflight=drop` loses nothing; times are integer microseconds and TTL
-ageing is relative to the flood's start. Only three things depend on
-absolute time: the bucket, which is the part's bucket plus the shift; the
-horizon, which `merge` checks against the shifted last write; and the
-cutoff. A trace is reused only if its last write, shifted to the new start,
-falls before the cutoff, and one that truncated a relay is never kept; any
-other flood is drained. Traces are keyed by payload bits, so a
-`rate_schedule` stays exact.
+trace is never written again. `execute` adds every key's tallies to the
+run's and merges its trace into the run's series, so static, mobile and
+`repeat_seq` keys write the series one way. A merge splits a start into
+whole seconds and a phase (`start % US`): the trace records its writes at
+phase plus offset through `MetricsSeries.record` into a part series, and
+`MetricsSeries.merge` adds that part at a range of whole-second shifts. A
+static run (no mobility step) with a new key per flood keeps the trace of
+the first flood of each payload size and reuses it for each later flood of
+that size instead of draining that flood. The floods of one trace and phase
+start lcm(interval, 1 s) apart, so `execute` collects their seconds and,
+after the last key, merges each run of them that steps by that much with
+one call, building the part once per call; with a whole-second interval a
+trace is recorded once. Any other key merges at once, at its one shift, and
+its trace is then dropped. Why this is exact: keys are independent, as
+above; a static run's topology and cover never change and `inflight=drop`
+loses nothing; times are integer microseconds and TTL ageing is relative to
+the flood's start. Only three things depend on absolute time: the bucket,
+which is the part's bucket plus the shift; the horizon, which `merge` checks
+against the last shifted write; and the cutoff. A trace is reused only if
+its last write, shifted to the new start, falls before the cutoff, and one
+that truncated a relay is never kept; any other flood is drained. Traces are
+keyed by payload bits, so a `rate_schedule` stays exact.
 """
 
 from __future__ import annotations
@@ -115,19 +117,13 @@ from .errors import AccountingError, ConfigError
 from .fixtures import build_scenario_topology
 from .metrics import US, MetricsSeries
 from .protocol import DuplicateCache, Packet, admit, receive, release_hold
-# Unused here: benches/tracer.py wraps these three by name on this module,
+# Unused here: benches/tracer.py wraps these four by name on this module,
 # until its fix of ROADMAP direction 4 wraps `receive` instead.
 from .protocol import blind_flood_on_receive, expire_caches, on_receive  # noqa: F401
 from .relays import RELAY_ORDERS, RelayAssignment, cardinality_report, select_relays
-from .topology import (
-    DEFAULT_AREA_SIDE,
-    MobilityStep,
-    Placement,
-    Topology,
-    is_connected,
-    reachable_from,
-    reconfigure,
-)
+from .topology import DEFAULT_AREA_SIDE, MobilityStep, Placement, Topology
+from .topology import is_connected  # noqa: F401
+from .topology import reachable_from, reconfigure
 
 MODE_RELAY = "relay"
 MODE_BLIND = "blind"
@@ -289,20 +285,19 @@ def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class _Trace:
     """One key's drain, filled as it runs: its metrics writes as (offset from
     `start_us`, the key's first start, nodes, bits counter, wire bits) in
     time order, so the last write's offset is its span; the nodes that
     first-received the key; and what it added to each tally. Each drain
-    fills a new trace, so one that `execute` stores is never written again.
-    `parts` caches the trace's cells per start phase (see `cells`)."""
+    fills a new trace, so one that `execute` stores is never written again;
+    a trace compares and hashes by identity."""
 
     start_us: int
     writes: list[tuple[int, Collection[int], int, int]] = field(default_factory=list)
     firsts: set[int] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
-    parts: dict[int, MetricsSeries] = field(default_factory=dict)
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
@@ -310,18 +305,15 @@ class _Trace:
         """Add a write at its offset from `start_us`."""
         self.writes.append((now_us - self.start_us, nodes, bits_counter, wire_bits))
 
-    def cells(self, phase_us: int, like: MetricsSeries) -> MetricsSeries:
-        """The trace's writes recorded at `phase_us` plus their offsets, into
-        a series with `like`'s horizon and width, made once per phase. Merged
-        at `s` whole seconds, it adds what the writes add at a start of
-        `s * US + phase_us`."""
-        part = self.parts.get(phase_us)
-        if part is None:
-            part = MetricsSeries(like.horizon_us, width=like.width)
-            self.parts[phase_us] = part
-            for offset, nodes, counter, wire in self.writes:
-                part.record(phase_us + offset, nodes, counter, wire)
-        return part
+    def merge_into(self, series: MetricsSeries, phase_us: int, shifts: range) -> None:
+        """Add to `series` what the writes add at a start of `s * US +
+        phase_us` for each `s` in `shifts`: they are recorded at `phase_us`
+        plus their offsets into a part series with `series`' horizon and
+        width, which `MetricsSeries.merge` adds once per shift."""
+        part = MetricsSeries(series.horizon_us, width=series.width)
+        for offset, nodes, counter, wire in self.writes:
+            part.record(phase_us + offset, nodes, counter, wire)
+        series.merge(part, shifts)
 
 
 class _Run:
@@ -530,18 +522,35 @@ class _Run:
         starts = range(0, _us(self.cfg.sim_duration_s), self.interval_us)
         keys = [starts] if self.cfg.repeat_seq else [[s] for s in starts]
         traces, series = self.traces, self.series
+        # (stored trace, start phase) -> the whole seconds of its floods.
+        trains: dict[tuple[_Trace, int], list[int]] = {}
         for i, floods in enumerate(keys):
             self.next_start_us = keys[i + 1][0] if i + 1 < len(keys) else math.inf
             start = floods[0]
+            second, phase = divmod(start, US)
             payload = _rate_schedule_payload(self.cfg, start)
-            trace = None if traces is None else traces.get(payload)
-            if trace is None or start + trace.writes[-1][0] >= self.cutoff_us:
+            trace = stored = None if traces is None else traces.get(payload)
+            if stored is None or start + stored.writes[-1][0] >= self.cutoff_us:
                 trace = self._drain(floods)
-                if traces is not None and not trace.tallies["relays_truncated"]:
-                    traces[payload] = trace
-            series.merge(trace.cells(start % US, series), start // US)
+                if stored is None and traces is not None:
+                    if not trace.tallies["relays_truncated"]:
+                        traces[payload] = stored = trace
+            if trace is stored:
+                trains.setdefault((trace, phase), []).append(second)
+            else:
+                trace.merge_into(series, phase, range(second, second + 1))
             self.tallies.update(trace.tallies)
             self.delivered.update(trace.firsts)
+        # A train's seconds step by lcm(interval, 1 s) except where floods
+        # of another payload, or drained ones, came between.
+        step = math.lcm(self.interval_us, US) // US
+        for (trace, phase), seconds in trains.items():
+            first = 0
+            for k in range(1, len(seconds) + 1):
+                if k == len(seconds) or seconds[k] != seconds[k - 1] + step:
+                    train = range(seconds[first], seconds[k - 1] + 1, step)
+                    trace.merge_into(series, phase, train)
+                    first = k
         self._finalize()
         return self.series
 
@@ -603,6 +612,7 @@ class _Run:
         # them the t=0 topology could reach at all.
         others = set(self.initial_topo.node_ids()) - {self.source}
         reachable = reachable_from(self.initial_topo, self.source) - {self.source}
+        peak = series.peak
         delivering = [u for u in sorted(others) if self.delivered[u]]
         coverage = len(delivering) / len(others) if others else 1.0
         distinct = [self.delivered[u] for u in sorted(reachable)]
@@ -623,7 +633,7 @@ class _Run:
         series.meta.update(
             {
                 "fingerprint": scenario_fingerprint(cfg, self.initial_topo),
-                "warning_disconnected": not is_connected(self.initial_topo),
+                "warning_disconnected": len(reachable) != len(others),
                 "coverage_fraction": coverage,
                 "reachable_nodes": len(reachable),
                 "delivering_nodes": len(delivering),
@@ -641,7 +651,8 @@ class _Run:
                 "cache_evictions": tallies["cache_evictions"],
                 "conservation_sent_bits": tallies["expected_bits"],
                 "conservation_received_bits": got_bits - totals[mx.BITS_LOST],
-                "channel_overloaded": series.peak > cfg.channel_bps,
+                "channel_overloaded": peak > cfg.channel_bps,
+                "peak_node_bits_per_second": peak,
             }
         )
 

@@ -13,23 +13,35 @@ is exact, never approximate.
 A (second, node) cell is one int. Counter `i` of `COUNTERS` sits in bits
 [W*i, W*(i+1)), where W is the series' `width`, and a top field from bit
 W*len(COUNTERS) up holds the cell's emitted bits (`BITS_SENT` plus
-`BITS_RELAYED`). A write adds one int to each cell it touches, and
-`merge` adds a whole series' cells at a shift of whole seconds. Amounts are
+`BITS_RELAYED`). A write adds one int to each cell it touches. Amounts are
 never negative, so a field only grows and never exceeds its counter's run
 total: while every run total stays below 2**W, no field carries into the
 next and every cell unpacks exactly (`row`). `totals` keeps the run totals
 as exact ints, so a caller can check that bound once, at the end of a run.
 Because the top field is the most significant, the largest cell of a bucket
 holds that bucket's largest emitted volume, and `peak` is the top field of
-the largest cell. `export_csv` streams the cells to disk one second at a
-time.
+the largest cell.
+
+`merge` adds a part series once per shift of a range, `first + k * step`
+for k < n. Second t then gains the window W(t) = the sum of the part's
+buckets t - first - k * step, and W(t) is W(t - step) minus the part bucket
+leaving it (t - first - n * step) plus the one entering it (t - first): two
+additions per part cell and a dict copy per second, whatever n is. The
+window is a sum of packed cells that are never negative, so subtracting a
+cell that was added is exact, and a cell falls to 0 exactly when no shifted
+part bucket in the window holds it; such cells are deleted.
+
+`export_csv` streams the cells to disk one second at a time. A static run
+repeats whole seconds, so the text of a second is kept while a later second
+shares its (cell count, cell sum) and is written again for a later second
+whose bucket equals it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from operator import add
 
 from .errors import AccountingError, ComparisonError
 
@@ -102,26 +114,55 @@ class MetricsSeries:
         for node in nodes:
             bucket[node] = get(node, 0) + inc
 
-    def merge(self, part: MetricsSeries, shift_s: int) -> None:
-        """Add `part`'s totals, and its cells `shift_s` whole seconds later.
-        `part` must have this series' width, and its last record, shifted,
-        must fall within the horizon."""
-        shifted_us = part.last_us + shift_s * US
-        if shifted_us >= self.horizon_us:
+    def merge(self, part: MetricsSeries, shifts: range) -> None:
+        """Add `part`'s totals, and its cells each of `shifts` whole seconds
+        later, through a running window (see the module docstring).
+        `shifts` is non-empty with a positive step and `part` has this
+        series' width. If `part`'s last record at the last shift falls
+        outside the horizon, it raises AccountingError and adds nothing."""
+        end_us = part.last_us + shifts[-1] * US
+        if end_us >= self.horizon_us:
             raise AccountingError(
-                f"merge ending at t={shifted_us} us outside horizon"
+                f"merge ending at t={end_us} us outside horizon"
                 f" [0, {self.horizon_us}) us"
             )
-        self.last_us = max(self.last_us, shifted_us)
-        self.totals[:] = map(add, self.totals, part.totals)
-        buckets = self.buckets
-        for t, cells in part.buckets.items():
-            bucket = buckets.get(t + shift_s)
+        self.last_us = max(self.last_us, end_us)
+        n = len(shifts)
+        self.totals[:] = [a + n * b for a, b in zip(self.totals, part.totals)]
+        cells, buckets = part.buckets, self.buckets
+        if not cells:
+            return
+        step, first = shifts.step, shifts[0]
+        span = n * step
+        empty: dict[int, int] = {}
+        windows: dict[int, dict[int, int]] = {}  # second -> its window
+        for t in range(min(cells) + first, max(cells) + shifts[-1] + 1):
+            window = windows.pop(t - step, empty)
+            leaving = cells.get(t - first - span)
+            if leaving is None:
+                window = window.copy()
+            else:
+                get = leaving.get
+                window = {
+                    node: rest for node, cell in window.items()
+                    if (rest := cell - get(node, 0))
+                }
+            entering = cells.get(t - first, empty)
+            if window:
+                get = window.get
+                for node, cell in entering.items():
+                    window[node] = get(node, 0) + cell
+            else:
+                window = entering.copy()
+            if not window:
+                continue
+            windows[t] = window
+            bucket = buckets.get(t)
             if bucket is None:
-                buckets[t + shift_s] = cells.copy()
+                buckets[t] = window
             else:
                 get = bucket.get
-                for node, cell in cells.items():
+                for node, cell in window.items():
                     bucket[node] = get(node, 0) + cell
 
     @property
@@ -154,27 +195,47 @@ def export_csv(series: MetricsSeries, path) -> None:
     series content. Each distinct cell is unpacked and formatted once, into
     a template of its non-zero `,<counter>,<value>` lines after an empty
     string, which joined with a cell's `t,node` puts that prefix before
-    every line. Each second's lines are written as soon as they are built,
-    so at most one bucket's text is held.
+    every line. Each second's lines are written as soon as they are built.
+    A second whose (cell count, cell sum) a later second shares is built
+    with NUL where its `t` goes and kept until the last such second; a later
+    second with an equal bucket is that text with its own `t` for NUL.
     """
     names = [f",{name}," for name in COUNTERS]
     templates: dict[int, tuple[str, ...]] = {}
+    buckets = series.buckets
+    fingerprints = {t: (len(c), sum(c.values())) for t, c in buckets.items()}
+    left = Counter(fingerprints.values())  # seconds not yet written
+    kept: dict[tuple[int, int], tuple[dict[int, int], str]] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for t in sorted(series.buckets):
-            per_node = series.buckets[t]
-            lines = []
-            for node in sorted(per_node):
-                cell = per_node[node]
-                template = templates.get(cell)
-                if template is None:
-                    template = templates[cell] = ("", *(
-                        f"{name}{value}\n"
-                        for name, value in zip(names, series.row(cell))
-                        if value
-                    ))
-                lines.append(f"{t},{node}".join(template))
-            fh.write("".join(lines))
+        for t in sorted(buckets):
+            per_node = buckets[t]
+            fp = fingerprints[t]
+            left[fp] -= 1
+            hit = kept.get(fp)
+            if hit is not None and hit[0] == per_node:
+                fh.write(hit[1].replace("\0", str(t)))
+            else:
+                keep = hit is None and left[fp]
+                label = "\0" if keep else t
+                lines = []
+                for node in sorted(per_node):
+                    cell = per_node[node]
+                    template = templates.get(cell)
+                    if template is None:
+                        template = templates[cell] = ("", *(
+                            f"{name}{value}\n"
+                            for name, value in zip(names, series.row(cell))
+                            if value
+                        ))
+                    lines.append(f"{label},{node}".join(template))
+                text = "".join(lines)
+                if keep:
+                    kept[fp] = per_node, text
+                    text = text.replace("\0", str(t))
+                fh.write(text)
+            if not left[fp]:
+                kept.pop(fp, None)
 
 
 def format_value(value) -> str:
@@ -187,11 +248,13 @@ def format_value(value) -> str:
 
 def summarize(series: MetricsSeries) -> dict:
     """Flatten run totals, the peak and engine metadata into a single
-    key/value record."""
+    key/value record. The peak is the engine's `meta` entry; only a series
+    without one is scanned."""
     summary = dict(series.meta)
     totals = series.totals
     summary.update(zip(TOTAL_KEYS, totals))
-    summary["peak_node_bits_per_second"] = series.peak
+    if "peak_node_bits_per_second" not in summary:
+        summary["peak_node_bits_per_second"] = series.peak
     first, dup = totals[PACKETS_RECEIVED_FIRST], totals[PACKETS_RECEIVED_DUP]
     summary["redundancy_ratio"] = (dup / first) if first else 0.0
     summary["total_transmissions"] = totals[PACKETS_SENT] + totals[PACKETS_RELAYED]

@@ -305,6 +305,20 @@ HALF_SECOND_PHASES = SimConfig(
 )
 
 
+# Static floods 0.3 s apart: their starts take ten phases, each recurring
+# every 3 s, so one trace merges as ten trains of step 3 s; the source
+# switches to 3000-bit payloads at 6 s and back at 10.5 s, which splits each
+# phase's 2000-bit floods into two trains.
+TENTH_PHASES = SimConfig(
+    fixture="path:5",
+    packet_interval_s=0.3,
+    hold_time_s=0.7,
+    duplicate_ttl_s=3.0,
+    sim_duration_s=15,
+    rate_schedule=((6.0, 3000), (10.5, 2000)),
+)
+
+
 def us(seconds):
     return round(seconds * mx.US)
 
@@ -685,6 +699,27 @@ class TestRun:
             r = DrainCount(cfg, topo)
             r.execute()
             assert r.drained == drained, cfg
+
+    @pytest.mark.parametrize("schedule, trains", [((), 10), (None, 30)])
+    def test_a_static_run_merges_one_train_per_trace_and_phase(
+        self, monkeypatch, schedule, trains
+    ):
+        merged = []
+        merge = mx.MetricsSeries.merge
+
+        def logged_merge(series, part, shifts):
+            merged.append(shifts)
+            merge(series, part, shifts)
+
+        monkeypatch.setattr(mx.MetricsSeries, "merge", logged_merge)
+        cfg = TENTH_PHASES
+        if schedule is not None:
+            cfg = dataclasses.replace(cfg, rate_schedule=schedule)
+        run(cfg)
+        assert len(merged) == trains
+        assert all(shifts.step == 3 for shifts in merged if len(shifts) > 1)
+        seconds = [start // mx.US for start in range(0, us(15), us(0.3))]
+        assert sorted(s for shifts in merged for s in shifts) == seconds
 
     @settings(max_examples=60, deadline=None)
     @given(scheduled_configs())
@@ -1261,6 +1296,7 @@ class TestReferenceEngine:
     @example(MOBILE_DROP)
     @example(ZERO_DELAY_REFLOOD)
     @example(HALF_SECOND_PHASES)
+    @example(TENTH_PHASES)
     def test_series_and_tallies_match_the_reference_engine(self, cfg):
         # The cells of `series.csv`, read back, and the tallies must equal
         # those of a simulator that shares no code with `_Run`; the tallies

@@ -3,7 +3,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meshflood import metrics as mx
@@ -61,9 +61,19 @@ record_calls = st.lists(
     max_size=30,
 )
 
-# Bucket maps over several seconds whose cells take rows from a small pool,
-# so rows repeat, with many zero-valued counters.
-bucket_maps = st.lists(
+# Shifts of a merge: ranges of step 1-4 and length 1-4 from 0-5 s.
+trains = st.builds(
+    lambda start, step, n: range(start, start + n * step, step),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+
+ZERO_ROW = [0] * len(mx.COUNTERS)
+
+# Rows from a small pool, so rows repeat, with many zero-valued counters;
+# the pool always holds an all-zero row.
+row_pools = st.lists(
     st.lists(
         st.sampled_from((0, 0, 1, 2000, 10**6)),
         min_size=len(mx.COUNTERS),
@@ -71,14 +81,30 @@ bucket_maps = st.lists(
     ),
     min_size=1,
     max_size=4,
-).flatmap(
-    lambda pool: st.dictionaries(
+).map(lambda pool: [*pool, ZERO_ROW])
+
+
+@st.composite
+def bucket_maps(draw):
+    """Bucket maps over several seconds, some of them empty, whose cells
+    take rows from a pool. Some seconds are copied to later seconds, as they
+    are or with their rows rotated across their nodes, which keeps the
+    second's cell count and cell sum but, for distinct rows, not its cells."""
+    pool = draw(row_pools)
+    buckets = draw(st.dictionaries(
         st.integers(0, 400),
         st.dictionaries(st.integers(0, 150), st.sampled_from(pool).map(list),
                         max_size=8),
         max_size=6,
-    )
-)
+    ))
+    for _ in range(draw(st.integers(0, 4)) if buckets else 0):
+        t = draw(st.sampled_from(sorted(buckets)))
+        nodes = sorted(buckets[t])
+        values = [buckets[t][node] for node in nodes]
+        if draw(st.booleans()):
+            values = values[1:] + values[:1]
+        buckets[draw(st.integers(t + 1, t + 30))] = dict(zip(nodes, values))
+    return buckets
 
 
 class TestRecord:
@@ -181,42 +207,57 @@ class TestRecord:
     @given(
         record_calls,
         st.booleans(),
-        st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        st.sets(st.integers(0, 9)),
+        st.lists(trains, min_size=1, max_size=2),
     )
-    def test_record_and_merge_match_the_row_oracle(self, writes, wide, shifts):
+    def test_record_and_merge_match_the_row_oracle(self, writes, wide, gaps, shifts):
         # `wide` moves every non-zero amount just below 2**64. The fields
         # are as narrow as the run totals allow, so the largest total sits
         # in [2**(W-1), 2**W): the tightest width at which no field carries.
+        # The part leaves the seconds in `gaps` empty, and a second train
+        # lands on the buckets of the first.
         if wide:
             writes = [(t, nodes, c, w and 2**64 - w) for t, nodes, c, w in writes]
-        oracle = RowSeries(horizon_us=16 * US)
-        for shift in (0, *shifts):
-            for now_us, nodes, bits_counter, wire_bits in writes:
-                oracle.record(now_us + shift * US, nodes, bits_counter, wire_bits)
+        part_writes = [w for w in writes if w[0] // US not in gaps]
+        oracle = RowSeries(horizon_us=32 * US)
+        for write in writes:
+            oracle.record(*write)
+        for train in shifts:
+            for shift in train:
+                for now_us, nodes, bits_counter, wire_bits in part_writes:
+                    oracle.record(now_us + shift * US, nodes, bits_counter, wire_bits)
         emitted = oracle.totals[mx.BITS_SENT] + oracle.totals[mx.BITS_RELAYED]
         width = max(1, emitted.bit_length(), *(t.bit_length() for t in oracle.totals))
 
-        series = MetricsSeries(horizon_us=16 * US, width=width)
+        series = MetricsSeries(horizon_us=32 * US, width=width)
         part = MetricsSeries(horizon_us=10 * US, width=width)
         for write in writes:
             series.record(*write)
+        for write in part_writes:
             part.record(*write)
-        for shift in shifts:
-            series.merge(part, shift)
+        for train in shifts:
+            series.merge(part, train)
         assert rows(series) == oracle.buckets
         assert series.totals == oracle.totals
         assert series.peak == peak_node_bits_per_second(series) == oracle.peak
+        ends = [part.last_us + train[-1] * US for train in shifts]
+        assert series.last_us == max([-1, *(t for t, *_ in writes), *ends])
 
     def test_merge_checks_the_shifted_last_write_against_the_horizon(self):
         part = MetricsSeries(horizon_us=10 * US)
         part.record(2 * US + 7, (1,), mx.BITS_SENT, 10)
         part.record(2 * US + 9, (), mx.BITS_LOST, 10)  # no cell, still the last
         series = MetricsSeries(horizon_us=5 * US + 9)
-        series.merge(part, 2)
+        series.merge(part, range(2, 3))
+        held = ({t: dict(c) for t, c in series.buckets.items()},
+                list(series.totals), series.last_us)
+        # The first shift fits; the last does not, so nothing is added.
         with pytest.raises(AccountingError, match="horizon"):
-            series.merge(part, 3)
+            series.merge(part, range(0, 4, 3))
+        assert (series.buckets, series.totals, series.last_us) == held
         assert series.totals == part.totals
         assert series.buckets == {4: part.buckets[2]}
+        assert series.last_us == 4 * US + 9
 
     @given(record_calls)
     def test_running_totals_and_peak_match_a_scan(self, writes):
@@ -310,7 +351,17 @@ class TestCsv:
         export_csv(series, path)
         assert parse_csv(path) == rows(series)
 
-    @given(bucket_maps)
+    @given(bucket_maps())
+    # Second 5 has second 0's cell count and cell sum but other cells;
+    # second 2 is empty; seconds 3 and 6 hold only all-zero cells.
+    @example({
+        0: {1: [1] * len(mx.COUNTERS), 2: [2000] * len(mx.COUNTERS)},
+        2: {},
+        3: {7: ZERO_ROW},
+        5: {1: [2000] * len(mx.COUNTERS), 2: [1] * len(mx.COUNTERS)},
+        6: {7: ZERO_ROW},
+        8: {1: [1] * len(mx.COUNTERS), 2: [2000] * len(mx.COUNTERS)},
+    })
     def test_export_matches_reference_writer(self, buckets):
         cells = {t: {n: pack(row) for n, row in per_node.items()}
                  for t, per_node in buckets.items()}
