@@ -72,31 +72,31 @@ the neighbors the emitter had at transmission time; the `inflight=drop` flag
 instead re-checks adjacency on arrival and counts newly unreachable copies
 as lost in transit. Either way the bit-conservation identity is exact.
 
-Every key's drain fills a `_Trace` of its own: its metrics writes at offsets
-from the key's first start, in time order, the nodes that first-received it
-and what it added to each tally. Each drain makes a new trace, so a stored
-trace is never written again. `execute` adds every key's tallies to the
-run's and merges its trace into the run's series, so static, mobile and
-`repeat_seq` keys write the series one way. A merge splits a start into
-whole seconds and a phase (`start % US`): the trace records its writes at
-phase plus offset through `MetricsSeries.record` into a part series, and
-`MetricsSeries.merge` adds that part at a range of whole-second shifts. A
-static run (no mobility step) with a new key per flood keeps the trace of
-the first flood of each payload size and reuses it for each later flood of
-that size instead of draining that flood. The floods of one trace and phase
-start lcm(interval, 1 s) apart, so `execute` collects their seconds and,
-after the last key, merges each run of them that steps by that much with
-one call, building the part once per call; with a whole-second interval a
-trace is recorded once. Any other key merges at once, at its one shift, and
-its trace is then dropped. Why this is exact: keys are independent, as
-above; a static run's topology and cover never change and `inflight=drop`
-loses nothing; times are integer microseconds and TTL ageing is relative to
-the flood's start. Only three things depend on absolute time: the bucket,
-which is the part's bucket plus the shift; the horizon, which `merge` checks
-against the last shifted write; and the cutoff. A trace is reused only if
-its last write, shifted to the new start, falls before the cutoff, and one
-that truncated a relay is never kept; any other flood is drained. Traces are
-keyed by payload bits, so a `rate_schedule` stays exact.
+Every key's drain fills a `_Trace` of its own: it records the key's metrics
+writes into a target series, `base_us` earlier, and keeps the nodes that
+first-received the key and what it added to each tally. `execute` adds every
+key's tallies to the run's. A key that is never reused records straight into
+the run's series with `base_us = 0`: each key of a mobile or `repeat_seq`
+run, and each flood drained near the cutoff. A static run (no mobility step)
+with a new key per flood drains only the first flood of each rate-schedule
+segment and start phase (`start % US`) and reuses its trace for the later
+ones. That first flood records into a part series of its own, `base_us` its
+start's whole second, so the part holds the flood at phase plus offset.
+The floods of one segment and phase start lcm(interval, 1 s) apart, so
+`execute` collects their whole seconds and, after the last key,
+`MetricsSeries.merge` adds the part at that range of shifts with one call.
+A first flood that truncated a relay is not kept: its part is merged at its
+own second, and the next flood of its key is drained as a first flood. Why
+this is exact: keys are independent, as above; a static run's topology and
+cover never change and `inflight=drop` loses nothing; times are integer
+microseconds and TTL ageing is relative to the flood's start; and a segment
+sends one payload size. Only three things depend on absolute time: the
+bucket, which is the part's bucket plus the shift; the horizon, which
+`merge` checks against the part's last record shifted; and the cutoff. A
+flood reuses the trace only if the part's last record, shifted to its
+second, falls before the cutoff. That test is monotone in the second, so
+once one flood of a key fails it, every later one does, and the floods that
+reuse a trace are one unbroken progression; the others are drained.
 """
 
 from __future__ import annotations
@@ -285,35 +285,23 @@ def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
     )
 
 
-@dataclass(eq=False)
+@dataclass
 class _Trace:
-    """One key's drain, filled as it runs: its metrics writes as (offset from
-    `start_us`, the key's first start, nodes, bits counter, wire bits) in
-    time order, so the last write's offset is its span; the nodes that
-    first-received the key; and what it added to each tally. Each drain
-    fills a new trace, so one that `execute` stores is never written again;
-    a trace compares and hashes by identity."""
+    """One key's drain, filled as it runs: its metrics writes, recorded into
+    `cells` at their time minus `base_us`; the nodes that first-received the
+    key; and what it added to each tally. Each drain fills a new trace, so
+    the cells of one that `execute` stores are never written again."""
 
-    start_us: int
-    writes: list[tuple[int, Collection[int], int, int]] = field(default_factory=list)
+    cells: MetricsSeries
+    base_us: int
     firsts: set[int] = field(default_factory=set)
     tallies: Counter[str] = field(default_factory=Counter)
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
     ) -> None:
-        """Add a write at its offset from `start_us`."""
-        self.writes.append((now_us - self.start_us, nodes, bits_counter, wire_bits))
-
-    def merge_into(self, series: MetricsSeries, phase_us: int, shifts: range) -> None:
-        """Add to `series` what the writes add at a start of `s * US +
-        phase_us` for each `s` in `shifts`: they are recorded at `phase_us`
-        plus their offsets into a part series with `series`' horizon and
-        width, which `MetricsSeries.merge` adds once per shift."""
-        part = MetricsSeries(series.horizon_us, width=series.width)
-        for offset, nodes, counter, wire in self.writes:
-            part.record(phase_us + offset, nodes, counter, wire)
-        series.merge(part, shifts)
+        """Record a write in `cells`, `base_us` earlier."""
+        self.cells.record(now_us - self.base_us, nodes, bits_counter, wire_bits)
 
 
 class _Run:
@@ -376,10 +364,11 @@ class _Run:
         self.tallies: Counter[str] = Counter()
         self.delivered: Counter[int] = Counter()  # node -> keys first-received
         self.queue = EventQueue()
-        self._start_key(0)
-        # Payload bits -> the trace each flood of that size reuses (see the
-        # module docstring); None drains every key.
-        self.traces: dict[int, _Trace] | None = (
+        self._start_key(self.series, 0)
+        # (schedule segment, start phase) -> the stored trace its floods reuse
+        # and their whole seconds (see the module docstring); None drains
+        # every key.
+        self.trains: dict[tuple[int, int], tuple[_Trace, list[int]]] | None = (
             {} if self.steps == 0 and not cfg.repeat_seq else None
         )
 
@@ -519,55 +508,54 @@ class _Run:
     # -- main loop --------------------------------------------------------
 
     def execute(self) -> MetricsSeries:
-        starts = range(0, _us(self.cfg.sim_duration_s), self.interval_us)
-        keys = [starts] if self.cfg.repeat_seq else [[s] for s in starts]
-        traces, series = self.traces, self.series
-        # (stored trace, start phase) -> the whole seconds of its floods.
-        trains: dict[tuple[_Trace, int], list[int]] = {}
+        cfg, series, trains = self.cfg, self.series, self.trains
+        starts = range(0, _us(cfg.sim_duration_s), self.interval_us)
+        keys = [starts] if cfg.repeat_seq else [[s] for s in starts]
         for i, floods in enumerate(keys):
             self.next_start_us = keys[i + 1][0] if i + 1 < len(keys) else math.inf
             start = floods[0]
             second, phase = divmod(start, US)
-            payload = _rate_schedule_payload(self.cfg, start)
-            trace = stored = None if traces is None else traces.get(payload)
-            if stored is None or start + stored.writes[-1][0] >= self.cutoff_us:
-                trace = self._drain(floods)
-                if stored is None and traces is not None:
-                    if not trace.tallies["relays_truncated"]:
-                        traces[payload] = stored = trace
-            if trace is stored:
-                trains.setdefault((trace, phase), []).append(second)
+            key = (sum(_us(t) <= start for t, _ in cfg.rate_schedule), phase)
+            train = None if trains is None else trains.get(key)
+            if trains is not None and train is None:
+                part = MetricsSeries(series.horizon_us, width=series.width)
+                trace = self._drain(floods, part, second * US)
+                if trace.tallies["relays_truncated"]:
+                    series.merge(part, range(second, second + 1))
+                else:
+                    trains[key] = trace, [second]
+            elif train and second * US + train[0].cells.last_us < self.cutoff_us:
+                trace = train[0]
+                train[1].append(second)
             else:
-                trace.merge_into(series, phase, range(second, second + 1))
+                trace = self._drain(floods, series, 0)
             self.tallies.update(trace.tallies)
             self.delivered.update(trace.firsts)
-        # A train's seconds step by lcm(interval, 1 s) except where floods
-        # of another payload, or drained ones, came between.
+        # A train's floods step by lcm(interval, 1 s), unbroken: each later
+        # flood of its key either reuses it or, past the cutoff, is drained,
+        # and so is every flood of the key after that.
         step = math.lcm(self.interval_us, US) // US
-        for (trace, phase), seconds in trains.items():
-            first = 0
-            for k in range(1, len(seconds) + 1):
-                if k == len(seconds) or seconds[k] != seconds[k - 1] + step:
-                    train = range(seconds[first], seconds[k - 1] + 1, step)
-                    trace.merge_into(series, phase, train)
-                    first = k
+        for trace, seconds in (trains or {}).values():
+            series.merge(trace.cells, range(seconds[0], seconds[-1] + 1, step))
         self._finalize()
         return self.series
 
-    def _start_key(self, start_us: int) -> None:
-        """Fresh state for the key whose first flood starts at `start_us`: a
-        queue of the run's queue class, its waves keyed by arrival time, its
-        cache, the nodes that relayed it, and a new trace to fill."""
+    def _start_key(self, cells: MetricsSeries, base_us: int) -> None:
+        """Fresh state for a key: a queue of the run's queue class, its waves
+        keyed by arrival time, its cache, the nodes that relayed it, and a new
+        trace that records into `cells`, `base_us` earlier."""
         self.queue = type(self.queue)()
         self.waves: dict[int, list] = {}
         self.cache = DuplicateCache(_us(self.cfg.duplicate_ttl_s))
         self.relayed: set[int] = set()
-        self.trace = _Trace(start_us)
+        self.trace = _Trace(cells, base_us)
 
-    def _drain(self, starts: Collection[int]) -> _Trace:
+    def _drain(
+        self, starts: Collection[int], cells: MetricsSeries, base_us: int
+    ) -> _Trace:
         """Drain the key whose floods start at `starts` on fresh key state
         (see `_start_key`) and return the trace it filled."""
-        self._start_key(starts[0])
+        self._start_key(cells, base_us)
         queue = self.queue
         for start in starts:
             queue.push(Event(start, EventKind.EMIT_FROM_SOURCE))

@@ -49,10 +49,11 @@ def us(seconds: float) -> int:
     return round(seconds * US)
 
 
-def simulate(cfg: SimConfig, topo) -> tuple[dict, dict]:
-    """Run `cfg` on the initial topology `topo`. Returns the cells, each
-    (second, node) mapped to a row of one int per counter, and the tallies
-    under their summary keys."""
+def simulate(cfg: SimConfig, topo, cutoff: int | None = None) -> tuple[dict, dict]:
+    """Run `cfg` on the initial topology `topo`, truncating relays at
+    `cutoff` microseconds if given. Returns the cells, each (second, node)
+    mapped to a row of one int per counter, and the tallies under their
+    summary keys."""
     duration, interval = us(cfg.sim_duration_s), us(cfg.packet_interval_s)
     hold, ttl = us(cfg.hold_time_s), us(cfg.duplicate_ttl_s)
 
@@ -86,7 +87,8 @@ def simulate(cfg: SimConfig, topo) -> tuple[dict, dict]:
     payloads = [cfg.payload_bits, *(bits for _, bits in cfg.rate_schedule)]
     ser_max = (max(payloads) + n * cfg.header_bits_per_relay) / cfg.channel_bps
     drain_s = (n + 2) * (cfg.hold_time_s + ser_max + 1.0) + 10.0
-    cutoff = us(cfg.sim_duration_s + drain_s)
+    if cutoff is None:
+        cutoff = us(cfg.sim_duration_s + drain_s)
 
     cells: dict[tuple[int, int], list[int]] = {}
     tallies = dict.fromkeys(

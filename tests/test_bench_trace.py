@@ -1,4 +1,5 @@
-"""The benchmark's traced run still works against the current engine.
+"""The benchmark's traced run and its smoke check still work against the
+current engine.
 
 `benches/tracer.py` wraps layer functions by the names `meshflood.engine`
 imports them under, so renaming or dropping one of those imports makes a
@@ -90,3 +91,17 @@ def test_traced_blind_run_releases_once_per_broadcast_hop(tmp_path):
     held = int(summary["total_packets_relayed"]) + int(summary["relays_truncated"])
     assert layers["protocol.release_hold_calls"] == layers["engine.events.RELAY_EMIT"]
     assert 0 < layers["engine.events.RELAY_EMIT"] < held
+
+
+def test_benchmark_smoke_check_passes():
+    # `benches/smoke.py` runs every workload's tiny variant through the
+    # harness's gate and tracer, so a `src/` change that breaks either
+    # fails here rather than only when the benchmark runs.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benches" / "smoke.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

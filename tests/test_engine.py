@@ -173,6 +173,7 @@ class TestConfigValidation:
             {"rate_schedule": ((10.0, 1000), (0.0, 2000))},
             {"radio_range": 0.0},
             {"area_side": -1.0},
+            {"area_side": 0.0},
             {"channel_bps": 0},
             {"payload_bits": 0},
             {"header_bits_per_relay": -1},
@@ -181,6 +182,29 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"channel_bps": 1},
+            {"payload_bits": 1},
+            {"rate_schedule": ((0.0, 1),)},
+            {"sim_duration_s": 2.0, "packet_interval_s": 2.0},
+            {
+                name: 1e-6
+                for name in (
+                    "packet_interval_s",
+                    "topo_control_interval_s",
+                    "hold_time_s",
+                    "topo_stability_s",
+                    "duplicate_ttl_s",
+                    "sim_duration_s",
+                )
+            },
+        ],
+    )
+    def test_configs_at_a_bound_accepted(self, kwargs):
+        SimConfig(**kwargs).validate()
 
 
 @st.composite
@@ -306,9 +330,9 @@ HALF_SECOND_PHASES = SimConfig(
 
 
 # Static floods 0.3 s apart: their starts take ten phases, each recurring
-# every 3 s, so one trace merges as ten trains of step 3 s; the source
-# switches to 3000-bit payloads at 6 s and back at 10.5 s, which splits each
-# phase's 2000-bit floods into two trains.
+# every 3 s, so each rate-schedule segment drains ten floods and merges ten
+# trains of step 3 s; the source switches to 3000-bit payloads at 6 s and
+# back at 10.5 s, three segments in all.
 TENTH_PHASES = SimConfig(
     fixture="path:5",
     packet_interval_s=0.3,
@@ -468,7 +492,7 @@ class EventPath:
 
     def __init__(self, cfg, topo):
         super().__init__(cfg, topo)
-        self.traces = None
+        self.trains = None
 
 
 class EventPathRun(EventPath, _Run):
@@ -488,9 +512,9 @@ class DrainCount(_Run):
 
     drained = 0
 
-    def _drain(self, starts):
+    def _drain(self, starts, cells, base_us):
         self.drained += 1
-        return super()._drain(starts)
+        return super()._drain(starts, cells, base_us)
 
 
 class SharedQueueRun(_Run):
@@ -519,8 +543,7 @@ class SharedQueueRun(_Run):
     def execute(self):
         self.keys = {}
         duration = us(self.cfg.sim_duration_s)
-        trace = self._drain(range(0, duration, self.interval_us))
-        apply_writes(self)
+        trace = self._drain(range(0, duration, self.interval_us), self.series, 0)
         self.tallies.update(trace.tallies)
         for _, _, firsts, _ in self.keys.values():
             self.delivered.update(firsts)
@@ -545,15 +568,6 @@ class SharedQueueRun(_Run):
             self.keys[key] = ({}, DuplicateCache(self.cache.ttl_us), set(), set())
         self.key = key
         self.waves, self.cache, self.trace.firsts, self.relayed = self.keys[key]
-
-
-def apply_writes(r):
-    """Apply the writes `r`'s handlers made to its trace since the last call
-    to its series, as `execute` applies a trace, and forget them."""
-    trace = r.trace
-    for offset, nodes, counter, wire in trace.writes:
-        r.series.record(trace.start_us + offset, nodes, counter, wire)
-    trace.writes.clear()
 
 
 def pop_log(base):
@@ -584,6 +598,20 @@ def scheduled_configs(draw):
         st.sampled_from([(), ((0.0, 2000), (4.0, 900)), ((3.0, 20_000),)])
     )
     return dataclasses.replace(cfg, rate_schedule=schedule)
+
+
+@pytest.fixture
+def merged(monkeypatch):
+    """The shifts of each `MetricsSeries.merge` call the test makes."""
+    log = []
+    merge = mx.MetricsSeries.merge
+
+    def logged_merge(series, part, shifts):
+        log.append(shifts)
+        merge(series, part, shifts)
+
+    monkeypatch.setattr(mx.MetricsSeries, "merge", logged_merge)
+    return log
 
 
 def output_bytes(series) -> tuple[bytes, bytes]:
@@ -678,7 +706,7 @@ class TestRun:
         reference, replayed = (output_bytes(r.execute()) for r in runs)
         assert replayed == reference
 
-    def test_a_static_run_simulates_one_flood_per_payload_size(self):
+    def test_a_static_run_simulates_one_flood_per_segment_and_phase(self):
         relay = SimConfig(fixture="grid:121", sim_duration_s=360)
         blind = SimConfig(
             mode=MODE_BLIND, placement="uniform", node_count=400, sim_duration_s=60
@@ -686,6 +714,15 @@ class TestRun:
         scheduled = SimConfig(
             fixture="grid:25", rate_schedule=((0.0, 2000), (4.0, 900)), sim_duration_s=20
         )
+        half = SimConfig(fixture="grid:9", packet_interval_s=0.5, sim_duration_s=10)
+        # The third segment sends the first one's payload, but is a key of
+        # its own.
+        back = SimConfig(
+            fixture="grid:9",
+            rate_schedule=((0.0, 2000), (4.0, 900), (8.0, 2000)),
+            sim_duration_s=12,
+        )
+        tenth = dataclasses.replace(TENTH_PHASES, rate_schedule=())
         # A mobile run drains every key live: one per flood, or one for all
         # of a `repeat_seq` run's floods.
         repeated = dataclasses.replace(MOBILE_DROP, repeat_seq=True)
@@ -693,6 +730,13 @@ class TestRun:
             (relay, scenario_topology(relay), 1),
             (blind, random_connected_topology(400, 0), 1),
             (scheduled, scenario_topology(scheduled), 2),
+            (half, scenario_topology(half), 2),
+            (back, scenario_topology(back), 3),
+            (tenth, scenario_topology(tenth), 10),
+            (TENTH_PHASES, scenario_topology(TENTH_PHASES), 30),
+            # Every flood re-arms its nodes until the cutoff truncates it,
+            # so none is stored.
+            (HALF_SECOND_PHASES, scenario_topology(HALF_SECOND_PHASES), 10),
             (MOBILE_DROP, scenario_topology(MOBILE_DROP), 30),
             (repeated, scenario_topology(repeated), 1),
         ):
@@ -702,16 +746,8 @@ class TestRun:
 
     @pytest.mark.parametrize("schedule, trains", [((), 10), (None, 30)])
     def test_a_static_run_merges_one_train_per_trace_and_phase(
-        self, monkeypatch, schedule, trains
+        self, merged, schedule, trains
     ):
-        merged = []
-        merge = mx.MetricsSeries.merge
-
-        def logged_merge(series, part, shifts):
-            merged.append(shifts)
-            merge(series, part, shifts)
-
-        monkeypatch.setattr(mx.MetricsSeries, "merge", logged_merge)
         cfg = TENTH_PHASES
         if schedule is not None:
             cfg = dataclasses.replace(cfg, rate_schedule=schedule)
@@ -721,33 +757,95 @@ class TestRun:
         seconds = [start // mx.US for start in range(0, us(15), us(0.3))]
         assert sorted(s for shifts in merged for s in shifts) == seconds
 
+    @pytest.mark.parametrize(
+        "cfg, trains",
+        [
+            (MOBILE_DROP, []),
+            (SimConfig(fixture="fig3", repeat_seq=True, sim_duration_s=30), []),
+            (SimConfig(fixture="grid:121", sim_duration_s=360), [180]),
+            # Each flood is truncated, so each part is merged at its own
+            # second and dropped.
+            (HALF_SECOND_PHASES, [1] * 10),
+        ],
+        ids=["mobile", "repeat-seq", "grid121", "truncated"],
+    )
+    def test_only_a_static_first_flood_is_merged(self, merged, cfg, trains):
+        # Every other key records straight into the run's series.
+        run(cfg)
+        assert [len(shifts) for shifts in merged] == trains
+
+    def test_a_flood_whose_shifted_trace_ends_at_the_cutoff_is_drained(self):
+        # On a zero-delay channel a relay's copies arrive at the instant it
+        # emits, so the stored trace's last write is the last relay. With the
+        # cutoff exactly where the 4 s flood's shifted trace ends, that flood
+        # must be drained, and its last relay truncated; one microsecond
+        # later, it reuses the trace.
+        cfg = SimConfig(
+            fixture="path:5",
+            packet_interval_s=1.0,
+            hold_time_s=0.5,
+            sim_duration_s=8,
+            channel_bps=10**12,
+        )
+        topo = scenario_topology(cfg)
+        first = _Run(cfg, topo)
+        first.execute()
+        (stored, _), = first.trains.values()
+        assert stored.cells.last_us == us(1.5)
+        for cutoff_us, drained in ((us(5.5), 5), (us(5.5) + 1, 4)):
+            runs = DrainCount(cfg, topo), EventPathRun(cfg, topo)
+            for r in runs:
+                r.cutoff_us = cutoff_us
+            replayed, live = (output_bytes(r.execute()) for r in runs)
+            assert replayed == live
+            assert runs[0].drained == drained
+            # Each flood from 5 s on loses one relay to the cutoff.
+            truncated = runs[0].series.meta["relays_truncated"]
+            assert truncated == 3 + (cutoff_us == us(5.5))
+            cells, tallies = reference_engine.simulate(cfg, topo, cutoff_us)
+            assert tallies["relays_truncated"] == truncated
+            assert cells == {
+                (t, node): runs[0].series.row(cell)
+                for t, per_node in runs[0].series.buckets.items()
+                for node, cell in per_node.items()
+            }
+
     @settings(max_examples=60, deadline=None)
     @given(scheduled_configs())
     @example(SimConfig(fixture="fig3", repeat_seq=True, sim_duration_s=30))
-    def test_every_trace_starts_at_its_source_and_runs_in_time_order(self, cfg):
-        # `execute` reuses a trace only if its last write, shifted to the new
-        # start, falls before the cutoff, so the last write must be the
-        # latest; and `firsts` must be the nodes its writes deliver to.
-        class Traces(_Run):
-            def _drain(self, starts):
-                trace = super()._drain(starts)
-                self.drained.append(trace)
+    @example(TENTH_PHASES)
+    def test_every_trace_starts_at_its_source_and_holds_its_firsts(self, cfg):
+        # Each key drains into cells of its own here, then adds them to the
+        # cells `execute` gave it, so the writes of every drained key can be
+        # read apart, stored or recorded straight into the run's series. The
+        # key's writes start in its start second with the source's, and
+        # `firsts` must be the nodes its writes deliver to.
+        class OwnCells(_Run):
+            def _drain(self, starts, cells, base_us):
+                own = mx.MetricsSeries(cells.horizon_us, width=cells.width)
+                trace = super()._drain(starts, own, base_us)
+                cells.merge(own, range(1))
+                trace.cells = cells
+                self.drained.append((starts, base_us, own, trace))
                 return trace
 
         cfg.validate()
-        r = Traces(cfg, scenario_topology(cfg))
+        topo = scenario_topology(cfg)
+        r = OwnCells(cfg, topo)
         r.drained = []
-        r.execute()
+        assert output_bytes(r.execute()) == output_bytes(_Run(cfg, topo).execute())
         assert r.drained
-        for trace in r.drained:
-            offsets = [w[0] for w in trace.writes]
-            assert offsets == sorted(offsets) and offsets[0] >= 0
-            assert trace.writes[0][:3] == (0, (r.source,), mx.BITS_SENT)
-            received = [
-                nodes for _, nodes, counter, _ in trace.writes
-                if counter == mx.BITS_RECEIVED_FIRST
-            ]
-            assert trace.firsts == set().union(*received)
+        for starts, base_us, own, trace in r.drained:
+            second = (starts[0] - base_us) // mx.US
+            assert min(own.buckets) == second
+            assert own.row(own.buckets[second][r.source])[mx.PACKETS_SENT] >= 1
+            assert own.totals[mx.PACKETS_SENT] == len(starts)
+            assert trace.firsts == {
+                node
+                for per_node in own.buckets.values()
+                for node, cell in per_node.items()
+                if own.row(cell)[mx.PACKETS_RECEIVED_FIRST]
+            }
 
     def test_handler_overrides_run_inside_a_simulated_flood(self):
         # Copies of one key meet at one instant in this static run, so taking
@@ -851,7 +949,6 @@ class TestRun:
             # Out of emitter order: the wave is sorted before it is taken.
             r.waves[1_000] = [(3, large, (2, 4), topo), (1, small, (0, 2), topo)]
             r.handle_receive(Event(1_000, EventKind.RECEIVE))
-            apply_writes(r)
             runs.append(r)
         r = runs[0]
         cells = rows(r.series)[0]
@@ -871,7 +968,6 @@ class TestRun:
         assert relay_emit.data == ((small, [0, 2]), (large, [4]))
         # Each entry leaves with its own header.
         r.handle_relay_emit(relay_emit)
-        apply_writes(r)
         relayed = rows(r.series)[relay_emit.time_us // mx.US]
         assert {v: relayed[v][mx.BITS_RELAYED] for v in (0, 2, 4)} == {
             0: 2200,
@@ -882,7 +978,6 @@ class TestRun:
         late = runs[1]
         late.cutoff_us = relay_emit.time_us
         late.handle_relay_emit(late.queue.pop())
-        apply_writes(late)
         assert late.trace.tallies["relays_truncated"] == 3
         assert node_totals(late.series, mx.BITS_RELAYED) == {}
 
@@ -1046,8 +1141,8 @@ class TestRun:
         class CacheAtDrainEnd(EventPathRun):
             drained = 0
 
-            def _drain(self, starts):
-                trace = super()._drain(starts)
+            def _drain(self, starts, cells, base_us):
+                trace = super()._drain(starts, cells, base_us)
                 # Every entry is the source or a node that first-received
                 # this drain's key, written no earlier than its first start.
                 assert set(self.cache.seen) == trace.firsts | {self.source}
@@ -1097,21 +1192,22 @@ class TestRun:
         # far a flood runs past the next start, 2 s steps apart.
         assert 0 < r.peak <= 5
 
-    def test_lost_copies_missing_from_the_series_break_conservation(self):
+    def test_lost_copies_missing_from_the_series_break_conservation(
+        self, monkeypatch
+    ):
         # It loses copies in transit, so a series that never stores them
         # must fail the check.
         cfg = MOBILE_DROP
         assert mx.summarize(run(cfg))["total_packets_lost_in_transit"] > 0
+        record = engine._Trace.record
 
-        class LostWritesDropped(_Run):
-            def _drain(self, starts):
-                trace = super()._drain(starts)
-                trace.writes = [w for w in trace.writes if w[2] != mx.BITS_LOST]
-                return trace
+        def lost_writes_dropped(trace, now_us, nodes, bits_counter, wire_bits):
+            if bits_counter != mx.BITS_LOST:
+                record(trace, now_us, nodes, bits_counter, wire_bits)
 
-        r = LostWritesDropped(cfg, scenario_topology(cfg))
+        monkeypatch.setattr(engine._Trace, "record", lost_writes_dropped)
         with pytest.raises(AccountingError, match="bit conservation broken"):
-            r.execute()
+            run(cfg)
 
     def test_a_run_total_at_two_to_the_width_fails_the_run(self):
         # With 8-bit fields a cell stays exact while every run total, and
@@ -1288,6 +1384,18 @@ class TestRun:
             SimConfig(fixture="path:3", payload_bits=12_000_000, sim_duration_s=10)
         )
         assert loud.meta["channel_overloaded"] is True
+        # A node that emits exactly the channel's rate in a second fits.
+        full = run(
+            SimConfig(
+                fixture="path:3",
+                payload_bits=1_000_000,
+                header_bits_per_relay=0,
+                channel_bps=1_000_000,
+                sim_duration_s=10,
+            )
+        )
+        assert full.meta["peak_node_bits_per_second"] == 1_000_000
+        assert full.meta["channel_overloaded"] is False
 
 
 class TestReferenceEngine:

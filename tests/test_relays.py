@@ -20,6 +20,7 @@ from meshflood.relays import (
     ORDER_ASCENDING,
     ORDER_DEGREE,
     ORDER_DESCENDING,
+    RelayAssignment,
     _candidate_order,
     brute_force_min_relays,
     cardinality_report,
@@ -306,6 +307,17 @@ class TestCardinalityReport:
         report = cardinality_report(t, a)
         assert report.cond1
         assert not report.cond2  # 3 < 5 - 3 is false; observed, not enforced
+
+    def test_conditions_fail_at_equality(self):
+        t = path_topology(4)
+        report = cardinality_report(t, select_relays(t))
+        assert (report.card_R, report.card_V) == (2, 4)
+        assert report.cond1
+        assert not report.cond2  # 2 < 4 - 2 is false
+        every = RelayAssignment(
+            relays=(0, 1, 2, 3), selectors={}, epoch=t.epoch, bridge_tests=0
+        )
+        assert not cardinality_report(t, every).cond1  # 4 < 4 is false
 
     def test_complete_graph_both_conditions_hold(self):
         t = complete_topology(4)

@@ -59,6 +59,10 @@ class TestPlaceNodes:
         with pytest.raises(EmptyScenarioError):
             place_nodes(0, Placement.GRID, 500.0)
 
+    def test_zero_area_rejected(self):
+        with pytest.raises(ValueError, match="area_side"):
+            place_nodes(1, Placement.GRID, 0.0)
+
     def test_exactly_one_source(self):
         # One source per topology holds by type; a built placement floods
         # from node 0.
@@ -77,6 +81,10 @@ class TestBuildTopology:
         t = build_topology({0: (0.0, 0.0), 1: (150.0, 0.0)}, 100.0)
         assert t.adjacency[0] == frozenset()
         assert t.adjacency[1] == frozenset()
+
+    def test_zero_radio_range_rejected(self):
+        with pytest.raises(ValueError, match="radio_range"):
+            build_topology({0: (0.0, 0.0)}, 0.0)
 
     def test_grid25_at_spacing_range_has_40_edges(self):
         # Oracle: direct pairwise-distance enumeration, independent of the
