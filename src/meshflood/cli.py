@@ -13,7 +13,6 @@ every member has finished.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -104,7 +103,7 @@ def _apply_overrides(cfg: SimConfig, args: argparse.Namespace) -> SimConfig:
     if getattr(args, "inflight", None) is not None:
         updates["inflight"] = args.inflight
     if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+        cfg = cfg._replace(**updates)
         cfg.validate()
     return cfg
 
@@ -152,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     jobs = [
         (
-            dataclasses.replace(cfg, seed=cfg.seed + i),
+            cfg._replace(seed=cfg.seed + i),
             out / f"seed-{cfg.seed + i}",
             args.dump_topology,
             args.dump_relays,
@@ -180,7 +179,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     assignment = select_relays(topo, cfg.relay_order)
     summaries = {}
     for mode in (MODE_RELAY, MODE_BLIND):
-        series = run(dataclasses.replace(cfg, mode=mode), topo, assignment)
+        series = run(cfg._replace(mode=mode), topo, assignment)
         export_csv(series, out / f"series_{mode}.csv")
         summaries[mode] = summarize(series)
         _print_warnings(_write_summary(summaries[mode], out / f"summary_{mode}.txt"))

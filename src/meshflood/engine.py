@@ -49,7 +49,8 @@ topo_control_interval_s before the end of the run; before the first one it
 is the initial cover). "At or before" puts a step or tick at t ahead of all
 traffic at t, and a step ahead of a tick at the same instant.
 `relay_recomputes` counts the initial cover plus each tick whose snapshot
-differs from the previous tick's, from the step and tick times alone.
+differs from the previous tick's, from the step and tick times alone: one
+test per snapshot, whether some tick falls in its span.
 
 Why one key at a time is exact. Events of different keys touch disjoint
 caches and node sets and add to commutative counters and metric cells,
@@ -74,8 +75,9 @@ as lost in transit. Either way the bit-conservation identity is exact.
 
 Every key's drain fills a `_Trace` of its own: it records the key's metrics
 writes into a target series, `base_us` earlier, and keeps the nodes that
-first-received the key and what it added to each tally. `execute` adds every
-key's tallies to the run's. A key that is never reused records straight into
+first-received the key and what it added to each tally. `execute` adds them
+to the run's once per drain, and a stored trace's once per train, times its
+flood count. A key that is never reused records straight into
 the run's series with `base_us = 0`: each key of a mobile or `repeat_seq`
 run, and each flood drained near the cutoff. A static run (no mobility step)
 with a new key per flood drains only the first flood of each rate-schedule
@@ -101,13 +103,11 @@ reuse a trace are one unbroken progression; the others are drained.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 import random
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
 from typing import NamedTuple
@@ -173,8 +173,7 @@ class EventQueue:
         return self._events.pop(key)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Complete scenario description; `run` is a pure function of this."""
 
     node_count: int = 25
@@ -202,11 +201,14 @@ class SimConfig:
     fixture: str | None = None
 
     def validate(self) -> None:
-        # Comparisons below are written so that NaN fails them too.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        # Comparisons below are written so that NaN fails them too. A time
+        # under 1 us rounds to 0 us: `value * US <= 0.5`, tested without
+        # `_us`, which raises where the product overflows.
+        for (name, default), value in zip(self._field_defaults.items(), self):
+            if isinstance(default, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if name.endswith("_s") and not value * US > 0.5:
+                raise ConfigError(f"{name} must be at least 1 microsecond")
         if self.node_count < 1:
             raise ConfigError("node_count must be at least 1")
         if self.placement not in {p.value for p in Placement}:
@@ -217,9 +219,6 @@ class SimConfig:
             raise ConfigError("channel_bps must be positive")
         if self.payload_bits < 1 or self.header_bits_per_relay < 0:
             raise ConfigError("invalid packet sizing")
-        for f in dataclasses.fields(self):
-            if f.name.endswith("_s") and _us(getattr(self, f.name)) < 1:
-                raise ConfigError(f"{f.name} must be at least 1 microsecond")
         if self.sim_duration_s < self.packet_interval_s:
             raise ConfigError("sim_duration_s must be at least packet_interval_s")
         # A node's next fresh copy of a key then comes after its hold of the
@@ -285,17 +284,17 @@ def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
     )
 
 
-@dataclass
 class _Trace:
     """One key's drain, filled as it runs: its metrics writes, recorded into
     `cells` at their time minus `base_us`; the nodes that first-received the
     key; and what it added to each tally. Each drain fills a new trace, so
     the cells of one that `execute` stores are never written again."""
 
-    cells: MetricsSeries
-    base_us: int
-    firsts: set[int] = field(default_factory=set)
-    tallies: Counter[str] = field(default_factory=Counter)
+    def __init__(self, cells: MetricsSeries, base_us: int):
+        self.cells = cells
+        self.base_us = base_us
+        self.firsts: set[int] = set()
+        self.tallies: Counter[str] = Counter()
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
@@ -328,8 +327,13 @@ class _Run:
         self.snapshots = {0: topo}
         self.covers = {0: self.initial_assignment}
         self.next_start_us = math.inf  # the start of the key after this one
-        self.relay_recomputes = len(
-            {self._snapshot_index(j * self.tick_us) for j in range(self.ticks + 1)}
+        # Snapshot k is in effect from step k until step k + 1, the last one
+        # until the end; it counts iff some tick falls in that span.
+        step, tick = self.step_us, self.tick_us
+        self.relay_recomputes = sum(
+            -(-k * step // tick)
+            <= (self.ticks if k == self.steps else ((k + 1) * step - 1) // tick)
+            for k in range(self.steps + 1)
         )
         self.hold_us = _us(cfg.hold_time_s)
         area_side = max(
@@ -520,25 +524,30 @@ class _Run:
             if trains is not None and train is None:
                 part = MetricsSeries(series.horizon_us, width=series.width)
                 trace = self._drain(floods, part, second * US)
-                if trace.tallies["relays_truncated"]:
-                    series.merge(part, range(second, second + 1))
-                else:
+                if not trace.tallies["relays_truncated"]:
                     trains[key] = trace, [second]
+                    continue
+                series.merge(part, range(second, second + 1))
             elif train and second * US + train[0].cells.last_us < self.cutoff_us:
-                trace = train[0]
                 train[1].append(second)
+                continue
             else:
                 trace = self._drain(floods, series, 0)
-            self.tallies.update(trace.tallies)
-            self.delivered.update(trace.firsts)
+            self._account(trace, 1)
         # A train's floods step by lcm(interval, 1 s), unbroken: each later
         # flood of its key either reuses it or, past the cutoff, is drained,
         # and so is every flood of the key after that.
         step = math.lcm(self.interval_us, US) // US
         for trace, seconds in (trains or {}).values():
             series.merge(trace.cells, range(seconds[0], seconds[-1] + 1, step))
+            self._account(trace, len(seconds))
         self._finalize()
         return self.series
+
+    def _account(self, trace: _Trace, floods: int) -> None:
+        """Add `floods` drains' worth of `trace`'s firsts and tallies."""
+        self.tallies.update({k: n * floods for k, n in trace.tallies.items()})
+        self.delivered.update(dict.fromkeys(trace.firsts, floods))
 
     def _start_key(self, cells: MetricsSeries, base_us: int) -> None:
         """Fresh state for a key: a queue of the run's queue class, its waves
@@ -607,9 +616,7 @@ class _Run:
 
         card = cardinality_report(self.initial_topo, self.initial_assignment)
         cfg = self.cfg
-        series.meta.update(
-            {f"config_{f.name}": getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-        )
+        series.meta.update(zip((f"config_{name}" for name in cfg._fields), cfg))
         # Not plain copies: size and range are the run's topology (a fixture
         # has its own), and the optional fixture and the schedule are text.
         series.meta.update(

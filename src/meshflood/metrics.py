@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass, field
 
 from .errors import AccountingError, ComparisonError
 
@@ -63,7 +62,6 @@ TOTAL_KEYS = tuple(f"total_{name}" for name in COUNTERS)
 CSV_HEADER = "t,node_id,counter,value"
 
 
-@dataclass
 class MetricsSeries:
     """Sparse bucket map of packed cells plus run-level metadata filled in by
     the engine.
@@ -75,12 +73,13 @@ class MetricsSeries:
     `totals`, the run total row, and `last_us`, the latest time recorded.
     """
 
-    horizon_us: int
-    buckets: dict[int, dict[int, int]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    totals: list[int] = field(default_factory=lambda: [0] * len(COUNTERS))
-    width: int = 64
-    last_us: int = -1
+    def __init__(self, horizon_us: int, width: int = 64):
+        self.horizon_us = horizon_us
+        self.width = width
+        self.buckets: dict[int, dict[int, int]] = {}
+        self.meta: dict = {}
+        self.totals = [0] * len(COUNTERS)
+        self.last_us = -1
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int

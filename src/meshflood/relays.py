@@ -23,8 +23,8 @@ code path with the selection itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .errors import SizeLimitError, StaleAssignmentError
 from .topology import Topology, two_hop
@@ -37,8 +37,7 @@ RELAY_ORDERS = (ORDER_ASCENDING, ORDER_DESCENDING, ORDER_DEGREE)
 BRUTE_FORCE_MAX_NODES = 12
 
 
-@dataclass(frozen=True)
-class RelayAssignment:
+class RelayAssignment(NamedTuple):
     """Result of a selection scan over one topology epoch.
 
     relays: selected node ids in selection order.
@@ -57,8 +56,7 @@ class RelayAssignment:
     bridge_tests: int
 
 
-@dataclass(frozen=True)
-class CardinalityReport:
+class CardinalityReport(NamedTuple):
     card_R: int
     card_V: int
     cond1: bool  # |R| < |V|

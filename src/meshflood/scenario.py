@@ -10,7 +10,6 @@ back to defaults.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 from .engine import SimConfig
@@ -54,7 +53,7 @@ def parse_rate_schedule(raw: str) -> tuple[tuple[float, int], ...]:
 
 # A key's value type is that of its SimConfig default, except that `fixture`
 # (default None) takes a name and `rate_schedule` has its own syntax.
-_KEY_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
+_KEY_TYPES = {name: type(d) for name, d in SimConfig._field_defaults.items()}
 _KEY_TYPES["fixture"] = str
 
 

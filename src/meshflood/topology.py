@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptyScenarioError, UnknownNodeError
 
@@ -35,27 +35,26 @@ class Placement(Enum):
     UNIFORM_RANDOM = "uniform"
 
 
-@dataclass(frozen=True)
-class MobilityStep:
+class MobilityStep(NamedTuple):
     """Bounded random displacement applied at each reconfiguration."""
 
     max_displacement: float
     area_side: float = DEFAULT_AREA_SIDE
 
 
-@dataclass(frozen=True)
 class Topology:
-    """Immutable snapshot of node positions and their disk adjacency.
+    """Snapshot of node positions and their disk adjacency, never changed.
 
     `nodes` maps each node id to its position in meters, and `source` is the
     id of the one node that floods originate from. The links are always the
     disk adjacency of the positions, built on first read.
     """
 
-    nodes: dict[int, tuple[float, float]]
-    radio_range: float
-    epoch: int = 0
-    source: int = 0
+    def __init__(self, nodes, radio_range: float, epoch: int = 0, source: int = 0):
+        self.nodes: dict[int, tuple[float, float]] = nodes
+        self.radio_range = radio_range
+        self.epoch = epoch
+        self.source = source
 
     @cached_property
     def adjacency(self) -> dict[int, frozenset[int]]:

@@ -1,10 +1,10 @@
 import bisect
-import dataclasses
 import heapq
 import itertools
 import math
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +177,8 @@ class TestConfigValidation:
             {"channel_bps": 0},
             {"payload_bits": 0},
             {"header_bits_per_relay": -1},
+            # A time whose microseconds overflow a float, beside an error.
+            {"node_count": 0, "hold_time_s": 1e303},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -597,7 +599,7 @@ def scheduled_configs(draw):
     schedule = draw(
         st.sampled_from([(), ((0.0, 2000), (4.0, 900)), ((3.0, 20_000),)])
     )
-    return dataclasses.replace(cfg, rate_schedule=schedule)
+    return cfg._replace(rate_schedule=schedule)
 
 
 @pytest.fixture
@@ -658,7 +660,7 @@ class TestRun:
         # other emissions join; `repeat_seq` is drawn, so one key's floods
         # meet too. The real queue raises on any second event at one
         # (time, kind); the reference's queue allows them.
-        cfg = dataclasses.replace(cfg, channel_bps=10**12)
+        cfg = cfg._replace(channel_bps=10**12)
         cfg.validate()
         topo = scenario_topology(cfg)
         assert output_bytes(PerBroadcastRun(cfg, topo).execute()) == output_bytes(
@@ -706,6 +708,26 @@ class TestRun:
         reference, replayed = (output_bytes(r.execute()) for r in runs)
         assert replayed == reference
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(fixture="grid:121", sim_duration_s=360),
+            HALF_SECOND_PHASES,
+            TENTH_PHASES,
+        ],
+        ids=["grid121", "half-second", "tenth"],
+    )
+    def test_a_train_adds_its_tallies_and_firsts_once_per_flood(self, cfg):
+        # `execute` adds a stored trace's accounting once per train, times
+        # its flood count; the event path adds each flood's as it drains.
+        topo = scenario_topology(cfg)
+        runs = EventPathRun(cfg, topo), _Run(cfg, topo)
+        for r in runs:
+            r.execute()
+        reference, replayed = runs
+        assert replayed.tallies == reference.tallies
+        assert replayed.delivered == reference.delivered
+
     def test_a_static_run_simulates_one_flood_per_segment_and_phase(self):
         relay = SimConfig(fixture="grid:121", sim_duration_s=360)
         blind = SimConfig(
@@ -722,10 +744,10 @@ class TestRun:
             rate_schedule=((0.0, 2000), (4.0, 900), (8.0, 2000)),
             sim_duration_s=12,
         )
-        tenth = dataclasses.replace(TENTH_PHASES, rate_schedule=())
+        tenth = TENTH_PHASES._replace(rate_schedule=())
         # A mobile run drains every key live: one per flood, or one for all
         # of a `repeat_seq` run's floods.
-        repeated = dataclasses.replace(MOBILE_DROP, repeat_seq=True)
+        repeated = MOBILE_DROP._replace(repeat_seq=True)
         for cfg, topo, drained in (
             (relay, scenario_topology(relay), 1),
             (blind, random_connected_topology(400, 0), 1),
@@ -750,7 +772,7 @@ class TestRun:
     ):
         cfg = TENTH_PHASES
         if schedule is not None:
-            cfg = dataclasses.replace(cfg, rate_schedule=schedule)
+            cfg = cfg._replace(rate_schedule=schedule)
         run(cfg)
         assert len(merged) == trains
         assert all(shifts.step == 3 for shifts in merged if len(shifts) > 1)
@@ -1250,6 +1272,60 @@ class TestRun:
         series = run(SimConfig(fixture="grid:25", sim_duration_s=40))
         assert series.meta["relay_recomputes"] == 1
 
+    def test_static_run_with_microsecond_ticks_finishes_quickly(self):
+        # 3 * 10**8 ticks: a count that visits each one takes minutes.
+        cfg = SimConfig(
+            fixture="path:3", sim_duration_s=300, topo_control_interval_s=1e-6
+        )
+        start = time.perf_counter()
+        series = run(cfg)
+        assert time.perf_counter() - start < 10
+        assert series.meta["relay_recomputes"] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 20_000),
+        st.integers(1, 3_000),
+        st.integers(1, 3_000),
+        st.booleans(),
+    )
+    # The last snapshot's step falls after the last tick.
+    @example(11, 5, 4, True)
+    def test_relay_recomputes_count_the_snapshots_at_ticks(
+        self, duration_us, step_us, tick_us, moves
+    ):
+        cfg = SimConfig(
+            sim_duration_s=duration_us / mx.US,
+            topo_stability_s=step_us / mx.US,
+            topo_control_interval_s=tick_us / mx.US,
+            mobility_displacement=10.0 if moves else 0.0,
+        )
+        r = _Run(cfg, path_topology(3))
+        assert (r.step_us, r.tick_us) == (step_us, tick_us)
+        # The snapshot in effect at each tick, one tick at a time.
+        last = (duration_us - 1) // step_us if moves else 0
+        at_ticks = {min(t // step_us, last) for t in range(0, duration_us, tick_us)}
+        assert r.relay_recomputes == len(at_ticks)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DuplicateCache(30),
+            lambda: mx.MetricsSeries(10 * mx.US),
+            lambda: engine._Trace(mx.MetricsSeries(10 * mx.US), 0),
+        ],
+        ids=["cache", "series", "trace"],
+    )
+    def test_fresh_records_share_no_mutable_container(self, make):
+        a, b = make(), make()
+        containers = [
+            name for name, value in vars(a).items()
+            if isinstance(value, (dict, list, set))
+        ]
+        assert containers
+        for name in containers:
+            assert getattr(a, name) is not getattr(b, name), name
+
     def test_identical_configs_identical_series(self):
         cfg = SimConfig(
             node_count=16,
@@ -1540,7 +1616,7 @@ class TestStaticFloodModel:
         # largest copy's serialization.
         wire_max = cfg.payload_bits + n * cfg.header_bits_per_relay
         flood_s = n * (cfg.hold_time_s + wire_max / cfg.channel_bps) + 1.0
-        cfg = dataclasses.replace(cfg, duplicate_ttl_s=flood_s)
+        cfg = cfg._replace(duplicate_ttl_s=flood_s)
         sm = mx.summarize(run(cfg, topo))
         assert sm["relays_truncated"] == 0
         floods = sm["source_emissions"]

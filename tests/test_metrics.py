@@ -365,7 +365,8 @@ class TestCsv:
     def test_export_matches_reference_writer(self, buckets):
         cells = {t: {n: pack(row) for n, row in per_node.items()}
                  for t, per_node in buckets.items()}
-        series = MetricsSeries(horizon_us=401 * US, buckets=cells)
+        series = MetricsSeries(horizon_us=401 * US)
+        series.buckets = cells
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
             export_csv(series, got)

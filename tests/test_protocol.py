@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 
 import pytest
@@ -262,11 +261,9 @@ class TestHoldBuffer:
     def test_release_copies_every_other_field(self):
         # A distinct value per field, so a field that release_hold forgets
         # to copy (one added to Packet later, say) shows up as a default.
-        values = {
-            f.name: 101 + i for i, f in enumerate(dataclasses.fields(Packet))
-        }
+        values = {name: 101 + i for i, name in enumerate(Packet._fields)}
         pkt = Packet(**values)
-        expected = dataclasses.replace(pkt, header_bits=pkt.header_bits + 7)
+        expected = pkt._replace(header_bits=pkt.header_bits + 7)
         assert release_hold(pkt, 7) == expected
 
 

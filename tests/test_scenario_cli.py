@@ -1,4 +1,6 @@
-import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,17 +29,16 @@ from meshflood.topology import Placement
 def scenario_text(cfg: SimConfig) -> str:
     """Write each field of `cfg` that is not None as a scenario file line."""
     lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
+    for name, value in zip(cfg._fields, cfg):
         if value is None:
             continue
         if isinstance(value, bool):
             text = "on" if value else "off"
-        elif f.name == "rate_schedule":
+        elif name == "rate_schedule":
             text = ",".join(f"{t}:{bits}" for t, bits in value)
         else:
             text = str(value)
-        lines.append(f"{f.name} = {text}")
+        lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -77,10 +78,10 @@ _TYPE_VALUES = {
 sim_configs = st.builds(
     SimConfig,
     **{
-        f.name: _FIELD_VALUES[f.name]
-        if f.name in _FIELD_VALUES
-        else _TYPE_VALUES[type(f.default)]
-        for f in dataclasses.fields(SimConfig)
+        name: _FIELD_VALUES[name]
+        if name in _FIELD_VALUES
+        else _TYPE_VALUES[type(default)]
+        for name, default in SimConfig._field_defaults.items()
     },
 )
 
@@ -148,7 +149,7 @@ class TestScenarioParsing:
             rate_schedule=((0.0, 2000), (2.0, 1000)),
         )
         text = scenario_text(cfg)
-        names = [f.name for f in dataclasses.fields(SimConfig)]
+        names = list(SimConfig._fields)
         assert [line.split(" = ")[0] for line in text.splitlines()] == names
         assert parse_scenario_text(text) == cfg
         summary = summarize(run(cfg))
@@ -344,21 +345,24 @@ class TestCmdRun:
             ).read_bytes(), name
 
 
+    # `st.builds(SimConfig, ...)` would draw every field not given, since
+    # hypothesis treats each field of a NamedTuple as required.
     @settings(max_examples=8, deadline=None)
     @given(
-        st.builds(
-            SimConfig,
-            placement=st.sampled_from([p.value for p in Placement]),
-            node_count=st.integers(1, 16),
-            radio_range=st.sampled_from([100.0, 200.0]),
-            mode=st.sampled_from([MODE_RELAY, MODE_BLIND]),
-            inflight=st.sampled_from([INFLIGHT_DELIVER, INFLIGHT_DROP]),
-            relay_order=st.sampled_from(RELAY_ORDERS),
-            mobility_displacement=st.sampled_from([0.0, 50.0]),
-            topo_stability_s=st.sampled_from([2.0, 5.0]),
-            seed=st.integers(0, 1000),
-            sim_duration_s=st.sampled_from([4.0, 10.0]),
-        )
+        st.fixed_dictionaries(
+            dict(
+                placement=st.sampled_from([p.value for p in Placement]),
+                node_count=st.integers(1, 16),
+                radio_range=st.sampled_from([100.0, 200.0]),
+                mode=st.sampled_from([MODE_RELAY, MODE_BLIND]),
+                inflight=st.sampled_from([INFLIGHT_DELIVER, INFLIGHT_DROP]),
+                relay_order=st.sampled_from(RELAY_ORDERS),
+                mobility_displacement=st.sampled_from([0.0, 50.0]),
+                topo_stability_s=st.sampled_from([2.0, 5.0]),
+                seed=st.integers(0, 1000),
+                sim_duration_s=st.sampled_from([4.0, 10.0]),
+            )
+        ).map(lambda fields: SimConfig(**fields))
     )
     def test_jobs_match_solo_runs_across_configs(self, cfg):
         names = ("series.csv", "summary.txt")
@@ -374,6 +378,25 @@ class TestCmdRun:
                     assert (batch / f"seed-{seed}" / name).read_bytes() == (
                         solo / name
                     ).read_bytes(), (seed, name)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # In a fresh interpreter, since pytest itself imports both.
+    code = (
+        "import sys, meshflood.cli\n"
+        "from meshflood import engine, fixtures, metrics, scenario\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestWarnings:
