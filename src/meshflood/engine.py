@@ -74,31 +74,32 @@ instead re-checks adjacency on arrival and counts newly unreachable copies
 as lost in transit. Either way the bit-conservation identity is exact.
 
 Every key's drain fills a `_Trace` of its own: it records the key's metrics
-writes into a target series, `base_us` earlier, and keeps the nodes that
-first-received the key and what it added to each tally. `execute` adds them
-to the run's once per drain, and a stored trace's once per train, times its
-flood count. A key that is never reused records straight into
-the run's series with `base_us = 0`: each key of a mobile or `repeat_seq`
-run, and each flood drained near the cutoff. A static run (no mobility step)
-with a new key per flood drains only the first flood of each rate-schedule
-segment and start phase (`start % US`) and reuses its trace for the later
-ones. That first flood records into a part series of its own, `base_us` its
-start's whole second, so the part holds the flood at phase plus offset.
-The floods of one segment and phase start lcm(interval, 1 s) apart, so
-`execute` collects their whole seconds and, after the last key,
-`MetricsSeries.merge` adds the part at that range of shifts with one call.
-A first flood that truncated a relay is not kept: its part is merged at its
-own second, and the next flood of its key is drained as a first flood. Why
-this is exact: keys are independent, as above; a static run's topology and
-cover never change and `inflight=drop` loses nothing; times are integer
+writes into a target series at their own time, and keeps the nodes that
+first-received the key and what it added to each tally. `execute` adds
+these to the run's once per trace, times the trace's flood count. A key that
+is never reused records straight into the run's series: each key of a
+mobile or `repeat_seq` run, and each flood that fails the reuse test below.
+A static run (no mobility step) with a new key per flood drains the first
+flood of each rate-schedule segment and start phase (`start % US`) into a
+part series of its own and stores its trace, one flood long. The floods of
+one segment and phase start step = lcm(interval, 1 s) apart, so the n-th
+flood after the first is the first shifted n steps; it joins the train,
+adding one to its flood count, iff the part's last record shifted n steps
+falls before the cutoff. After the last key, `MetricsSeries.merge` adds each
+part at the shifts `range(0, floods * step, step)` with one call. Why this
+is exact: keys are independent, as above; a static run's topology and cover
+never change and `inflight=drop` loses nothing; times are integer
 microseconds and TTL ageing is relative to the flood's start; and a segment
 sends one payload size. Only three things depend on absolute time: the
 bucket, which is the part's bucket plus the shift; the horizon, which
-`merge` checks against the part's last record shifted; and the cutoff. A
-flood reuses the trace only if the part's last record, shifted to its
-second, falls before the cutoff. That test is monotone in the second, so
-once one flood of a key fails it, every later one does, and the floods that
-reuse a trace are one unbroken progression; the others are drained.
+`merge` checks against the part's last record shifted; and the cutoff.
+Every relay the first flood emits writes at its emission time, so at or
+before the part's last record, and a flood that joins emits it too. Every
+relay the first flood truncates was due at or after the cutoff, and stays
+there at any later shift. So the one test is exact whether the first flood
+truncated or not. It is monotone in the shift, so once one flood of a key
+fails it, every later one does, and the floods of a train are one unbroken
+progression; the others are drained.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Collection
 from enum import IntEnum
@@ -203,12 +205,13 @@ class SimConfig(NamedTuple):
     def validate(self) -> None:
         # Comparisons below are written so that NaN fails them too. A time
         # under 1 us rounds to 0 us: `value * US <= 0.5`, tested without
-        # `_us`, which raises where the product overflows.
+        # `_us`, which raises where the product overflows; one of 2**63 us
+        # or more is rejected too, so no time the run derives overflows.
         for (name, default), value in zip(self._field_defaults.items(), self):
             if isinstance(default, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-            if name.endswith("_s") and not value * US > 0.5:
-                raise ConfigError(f"{name} must be at least 1 microsecond")
+            if name.endswith("_s") and not 0.5 < value * US < 2**63:
+                raise ConfigError(f"{name} must be from 1 to 2**63 - 1 microseconds")
         if self.node_count < 1:
             raise ConfigError("node_count must be at least 1")
         if self.placement not in {p.value for p in Placement}:
@@ -234,7 +237,7 @@ class SimConfig(NamedTuple):
         if self.relay_order not in RELAY_ORDERS:
             raise ConfigError(f"unknown relay_order {self.relay_order!r}")
         for t, bits in self.rate_schedule:
-            if not (math.isfinite(t) and t >= 0) or bits < 1:
+            if not 0 <= t * US < 2**63 or bits < 1:
                 raise ConfigError(f"bad rate_schedule entry ({t}, {bits})")
         times = [t for t, _ in self.rate_schedule]
         if any(a >= b for a, b in zip(times, times[1:])):
@@ -252,21 +255,11 @@ def serialization_delay_us(wire_size_bits: int, channel_bps: int) -> int:
 
 def transmit(
     t: Topology, emitter: int, pkt: Packet, now_us: int, channel_bps: int
-) -> tuple[int, tuple[int, ...]]:
+) -> tuple[int, frozenset[int]]:
     """Broadcast one copy: every current neighbor receives it after the
-    serialization delay. Returns (arrival time, receivers in id order)."""
+    serialization delay. Returns (arrival time, receivers)."""
     delay = serialization_delay_us(pkt.wire_size_bits, channel_bps)
-    return now_us + delay, t.sorted_neighbors[emitter]
-
-
-def _rate_schedule_payload(cfg: SimConfig, now_us: int) -> int:
-    payload = cfg.payload_bits
-    for t, bits in cfg.rate_schedule:
-        if _us(t) <= now_us:
-            payload = bits
-        else:
-            break
-    return payload
+    return now_us + delay, t.adjacency[emitter]
 
 
 def _schedule_text(cfg: SimConfig) -> str:
@@ -286,21 +279,17 @@ def scenario_fingerprint(cfg: SimConfig, topo: Topology) -> str:
 
 class _Trace:
     """One key's drain, filled as it runs: its metrics writes, recorded into
-    `cells` at their time minus `base_us`; the nodes that first-received the
-    key; and what it added to each tally. Each drain fills a new trace, so
-    the cells of one that `execute` stores are never written again."""
+    `cells` at their own time; the nodes that first-received the key; what
+    it added to each tally; and `floods`, how many drains it stands for, one
+    unless later floods of a static train reuse it. Each drain fills a new
+    trace, so the cells of one that `execute` stores are never written
+    again."""
 
-    def __init__(self, cells: MetricsSeries, base_us: int):
+    def __init__(self, cells: MetricsSeries):
         self.cells = cells
-        self.base_us = base_us
+        self.floods = 1
         self.firsts: set[int] = set()
         self.tallies: Counter[str] = Counter()
-
-    def record(
-        self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
-    ) -> None:
-        """Record a write in `cells`, `base_us` earlier."""
-        self.cells.record(now_us - self.base_us, nodes, bits_counter, wire_bits)
 
 
 class _Run:
@@ -342,15 +331,17 @@ class _Run:
         )
         self.mobility_step = MobilityStep(cfg.mobility_displacement, area_side)
 
+        # A flood starting at t sends payloads[bisect_right(schedule_us, t)].
+        self.schedule_us = [_us(t) for t, _ in cfg.rate_schedule]
+        self.payloads = [cfg.payload_bits, *(bits for _, bits in cfg.rate_schedule)]
+
         # Drain allowance: one relay chain is at most one hop per node, each
         # hop costing hold time plus serialization. TTL ageing can re-arm
         # relays while copies still circulate (slow links, mobility), so held
         # retransmissions due past the cutoff are truncated instead of
         # emitted; a truncated packet never goes on the wire, which keeps the
         # conservation identity exact.
-        wire_max = max(
-            [cfg.payload_bits, *(bits for _, bits in cfg.rate_schedule)]
-        ) + len(topo.nodes) * cfg.header_bits_per_relay
+        wire_max = max(self.payloads) + len(topo.nodes) * cfg.header_bits_per_relay
         ser_max = wire_max / cfg.channel_bps
         drain_s = (len(topo.nodes) + 2) * (cfg.hold_time_s + ser_max + 1.0) + 10.0
         self.cutoff_us = _us(cfg.sim_duration_s + drain_s)
@@ -368,11 +359,10 @@ class _Run:
         self.tallies: Counter[str] = Counter()
         self.delivered: Counter[int] = Counter()  # node -> keys first-received
         self.queue = EventQueue()
-        self._start_key(self.series, 0)
+        self._start_key(self.series)
         # (schedule segment, start phase) -> the stored trace its floods reuse
-        # and their whole seconds (see the module docstring); None drains
-        # every key.
-        self.trains: dict[tuple[int, int], tuple[_Trace, list[int]]] | None = (
+        # (see the module docstring); None drains every key.
+        self.trains: dict[tuple[int, int], _Trace] | None = (
             {} if self.steps == 0 and not cfg.repeat_seq else None
         )
 
@@ -441,13 +431,13 @@ class _Run:
         pkt = Packet(
             origin=self.source,
             seq=0 if cfg.repeat_seq else now // self.interval_us,
-            payload_bits=_rate_schedule_payload(cfg, now),
+            payload_bits=self.payloads[bisect_right(self.schedule_us, now)],
             header_bits=0,
             created_at_us=now,
         )
         if admit(self.cache, self.source, now):
             self.trace.tallies["cache_evictions"] += 1
-        self.trace.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
+        self.trace.cells.record(now, (self.source,), mx.BITS_SENT, pkt.wire_size_bits)
         self._broadcast(self.source, pkt, now)
 
     def handle_receive(self, ev: Event) -> None:
@@ -484,9 +474,9 @@ class _Run:
             # fresh entry.
             trace.tallies["cache_evictions"] += len(firsts)
             wire = pkt.wire_size_bits
-            trace.record(now, lost, mx.BITS_LOST, wire)
-            trace.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
-            trace.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
+            trace.cells.record(now, lost, mx.BITS_LOST, wire)
+            trace.cells.record(now, dups, mx.BITS_RECEIVED_DUP, wire)
+            trace.cells.record(now, firsts, mx.BITS_RECEIVED_FIRST, wire)
             if relaying:
                 emits.append((pkt, relaying))
         if emits:
@@ -502,7 +492,7 @@ class _Run:
         relayed = self.relayed
         for pkt, nodes in ev.data:
             out = release_hold(pkt, self.cfg.header_bits_per_relay)
-            trace.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
+            trace.cells.record(now, nodes, mx.BITS_RELAYED, out.wire_size_bits)
             for node in nodes:
                 if node in relayed:
                     trace.tallies["relay_loop_violations"] += 1
@@ -515,56 +505,46 @@ class _Run:
         cfg, series, trains = self.cfg, self.series, self.trains
         starts = range(0, _us(cfg.sim_duration_s), self.interval_us)
         keys = [starts] if cfg.repeat_seq else [[s] for s in starts]
+        step = math.lcm(self.interval_us, US)  # between the floods of a train
         for i, floods in enumerate(keys):
             self.next_start_us = keys[i + 1][0] if i + 1 < len(keys) else math.inf
             start = floods[0]
-            second, phase = divmod(start, US)
-            key = (sum(_us(t) <= start for t, _ in cfg.rate_schedule), phase)
+            key = (bisect_right(self.schedule_us, start), start % US)
             train = None if trains is None else trains.get(key)
-            if trains is not None and train is None:
+            if train is None and trains is not None:
                 part = MetricsSeries(series.horizon_us, width=series.width)
-                trace = self._drain(floods, part, second * US)
-                if not trace.tallies["relays_truncated"]:
-                    trains[key] = trace, [second]
-                    continue
-                series.merge(part, range(second, second + 1))
-            elif train and second * US + train[0].cells.last_us < self.cutoff_us:
-                train[1].append(second)
-                continue
+                trains[key] = self._drain(floods, part)
+            elif train and train.cells.last_us + train.floods * step < self.cutoff_us:
+                train.floods += 1
             else:
-                trace = self._drain(floods, series, 0)
-            self._account(trace, 1)
-        # A train's floods step by lcm(interval, 1 s), unbroken: each later
-        # flood of its key either reuses it or, past the cutoff, is drained,
-        # and so is every flood of the key after that.
-        step = math.lcm(self.interval_us, US) // US
-        for trace, seconds in (trains or {}).values():
-            series.merge(trace.cells, range(seconds[0], seconds[-1] + 1, step))
-            self._account(trace, len(seconds))
+                self._account(self._drain(floods, series))
+        shift = step // US
+        for trace in (trains or {}).values():
+            series.merge(trace.cells, range(0, trace.floods * shift, shift))
+            self._account(trace)
         self._finalize()
-        return self.series
+        return series
 
-    def _account(self, trace: _Trace, floods: int) -> None:
-        """Add `floods` drains' worth of `trace`'s firsts and tallies."""
+    def _account(self, trace: _Trace) -> None:
+        """Add `trace.floods` drains' worth of its firsts and tallies."""
+        floods = trace.floods
         self.tallies.update({k: n * floods for k, n in trace.tallies.items()})
         self.delivered.update(dict.fromkeys(trace.firsts, floods))
 
-    def _start_key(self, cells: MetricsSeries, base_us: int) -> None:
+    def _start_key(self, cells: MetricsSeries) -> None:
         """Fresh state for a key: a queue of the run's queue class, its waves
         keyed by arrival time, its cache, the nodes that relayed it, and a new
-        trace that records into `cells`, `base_us` earlier."""
+        trace that records into `cells`."""
         self.queue = type(self.queue)()
         self.waves: dict[int, list] = {}
         self.cache = DuplicateCache(_us(self.cfg.duplicate_ttl_s))
         self.relayed: set[int] = set()
-        self.trace = _Trace(cells, base_us)
+        self.trace = _Trace(cells)
 
-    def _drain(
-        self, starts: Collection[int], cells: MetricsSeries, base_us: int
-    ) -> _Trace:
+    def _drain(self, starts: Collection[int], cells: MetricsSeries) -> _Trace:
         """Drain the key whose floods start at `starts` on fresh key state
         (see `_start_key`) and return the trace it filled."""
-        self._start_key(cells, base_us)
+        self._start_key(cells)
         queue = self.queue
         for start in starts:
             queue.push(Event(start, EventKind.EMIT_FROM_SOURCE))

@@ -30,6 +30,7 @@ All time arguments are integer microseconds.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from enum import Enum
 from typing import NamedTuple
 
@@ -152,7 +153,7 @@ def receive(
     cache: DuplicateCache,
     pkt: Packet,
     emitter: int,
-    receivers: tuple[int, ...] | list[int],
+    receivers: Collection[int],
     adjacency: dict[int, frozenset[int]],
     now_us: int,
     relays: RelayAssignment | None = None,

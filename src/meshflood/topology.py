@@ -63,11 +63,6 @@ class Topology:
     def node_ids(self) -> list[int]:
         return sorted(self.nodes)
 
-    @cached_property
-    def sorted_neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Each node's neighbors in id order, sorted once per snapshot."""
-        return {u: tuple(sorted(nbrs)) for u, nbrs in self.adjacency.items()}
-
 
 def place_nodes(
     count: int,

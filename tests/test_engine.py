@@ -125,23 +125,23 @@ class TestTransmit:
         t = path_topology(1)
         pkt = Packet(origin=0, seq=0)
         _, receivers = transmit(t, 0, pkt, 0, 11_000_000)
-        assert receivers == ()
+        assert sorted(receivers) == []
 
     def test_all_neighbors_receive_at_the_same_instant(self):
         t = fig3_topology()
         pkt = Packet(origin=0, seq=0)
         arrival, receivers = transmit(t, 0, pkt, 1_000, 11_000_000)
-        assert receivers == (1, 2, 3)
+        assert sorted(receivers) == [1, 2, 3]
         assert arrival == 1_000 + 181
 
-    def test_receivers_are_each_epochs_neighbors_in_id_order(self):
+    def test_receivers_are_each_epochs_neighbors(self):
         t = random_connected_topology(60, 3)
         moved = reconfigure(t, MobilityStep(50.0), 7)
         pkt = Packet(origin=0, seq=0)
         for topo in (t, moved):
             for u in topo.node_ids():
                 _, receivers = transmit(topo, u, pkt, 0, 11_000_000)
-                assert receivers == tuple(sorted(topo.adjacency[u]))
+                assert sorted(receivers) == sorted(topo.adjacency[u])
 
 
 class TestConfigValidation:
@@ -179,6 +179,14 @@ class TestConfigValidation:
             {"header_bits_per_relay": -1},
             # A time whose microseconds overflow a float, beside an error.
             {"node_count": 0, "hold_time_s": 1e303},
+            # Times of 2**63 us or more, each the config's only fault.
+            {"sim_duration_s": 4, "topo_control_interval_s": 1e303},
+            {"hold_time_s": 1e302, "duplicate_ttl_s": 1e302},
+            {"topo_stability_s": 2**63 / mx.US},
+            {"packet_interval_s": 9.3e12, "sim_duration_s": 9.3e12},
+            {"rate_schedule": ((1e303, 2000),)},
+            {"rate_schedule": ((2**63 / mx.US, 2000),)},
+            {"rate_schedule": ((math.inf, 2000),)},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -203,6 +211,7 @@ class TestConfigValidation:
                     "sim_duration_s",
                 )
             },
+            {"topo_stability_s": 9.2e12},
         ],
     )
     def test_configs_at_a_bound_accepted(self, kwargs):
@@ -514,9 +523,9 @@ class DrainCount(_Run):
 
     drained = 0
 
-    def _drain(self, starts, cells, base_us):
+    def _drain(self, starts, cells):
         self.drained += 1
-        return super()._drain(starts, cells, base_us)
+        return super()._drain(starts, cells)
 
 
 class SharedQueueRun(_Run):
@@ -545,7 +554,7 @@ class SharedQueueRun(_Run):
     def execute(self):
         self.keys = {}
         duration = us(self.cfg.sim_duration_s)
-        trace = self._drain(range(0, duration, self.interval_us), self.series, 0)
+        trace = self._drain(range(0, duration, self.interval_us), self.series)
         self.tallies.update(trace.tallies)
         for _, _, firsts, _ in self.keys.values():
             self.delivered.update(firsts)
@@ -604,16 +613,28 @@ def scheduled_configs(draw):
 
 @pytest.fixture
 def merged(monkeypatch):
-    """The shifts of each `MetricsSeries.merge` call the test makes."""
+    """For each `MetricsSeries.merge` call the test makes, the whole seconds
+    its part's first second lands at: that second plus each shift."""
     log = []
     merge = mx.MetricsSeries.merge
 
     def logged_merge(series, part, shifts):
-        log.append(shifts)
+        first = min(part.buckets)
+        log.append(range(first + shifts.start, first + shifts.stop, shifts.step))
         merge(series, part, shifts)
 
     monkeypatch.setattr(mx.MetricsSeries, "merge", logged_merge)
     return log
+
+
+def cell_rows(series) -> dict:
+    """Each (second, node) cell of `series` as its row, the form of
+    `reference_engine.simulate`'s cells."""
+    return {
+        (t, node): row
+        for t, per_node in rows(series).items()
+        for node, row in per_node.items()
+    }
 
 
 def output_bytes(series) -> tuple[bytes, bytes]:
@@ -757,7 +778,8 @@ class TestRun:
             (tenth, scenario_topology(tenth), 10),
             (TENTH_PHASES, scenario_topology(TENTH_PHASES), 30),
             # Every flood re-arms its nodes until the cutoff truncates it,
-            # so none is stored.
+            # so each phase stores its first flood and no later one reuses
+            # it.
             (HALF_SECOND_PHASES, scenario_topology(HALF_SECOND_PHASES), 10),
             (MOBILE_DROP, scenario_topology(MOBILE_DROP), 30),
             (repeated, scenario_topology(repeated), 1),
@@ -785,9 +807,9 @@ class TestRun:
             (MOBILE_DROP, []),
             (SimConfig(fixture="fig3", repeat_seq=True, sim_duration_s=30), []),
             (SimConfig(fixture="grid:121", sim_duration_s=360), [180]),
-            # Each flood is truncated, so each part is merged at its own
-            # second and dropped.
-            (HALF_SECOND_PHASES, [1] * 10),
+            # Each flood is truncated so late that no later flood of its
+            # phase reuses the first one's part, merged one flood long.
+            (HALF_SECOND_PHASES, [1, 1]),
         ],
         ids=["mobile", "repeat-seq", "grid121", "truncated"],
     )
@@ -812,7 +834,7 @@ class TestRun:
         topo = scenario_topology(cfg)
         first = _Run(cfg, topo)
         first.execute()
-        (stored, _), = first.trains.values()
+        stored, = first.trains.values()
         assert stored.cells.last_us == us(1.5)
         for cutoff_us, drained in ((us(5.5), 5), (us(5.5) + 1, 4)):
             runs = DrainCount(cfg, topo), EventPathRun(cfg, topo)
@@ -824,13 +846,37 @@ class TestRun:
             # Each flood from 5 s on loses one relay to the cutoff.
             truncated = runs[0].series.meta["relays_truncated"]
             assert truncated == 3 + (cutoff_us == us(5.5))
-            cells, tallies = reference_engine.simulate(cfg, topo, cutoff_us)
+            expected, tallies = reference_engine.simulate(cfg, topo, cutoff_us)
             assert tallies["relays_truncated"] == truncated
-            assert cells == {
-                (t, node): runs[0].series.row(cell)
-                for t, per_node in runs[0].series.buckets.items()
-                for node, cell in per_node.items()
-            }
+            assert cell_rows(runs[0].series) == expected
+
+    def test_a_first_flood_that_truncated_a_relay_is_reused(self):
+        # The 0 s flood's last write is node 1's reception 181 us in, and
+        # node 1's relay, due 3 s later, falls past the cutoff. Shifted 1 s,
+        # the write still falls before the cutoff and the relay after it, so
+        # the 1 s flood reuses the trace. Each later flood is drained, and
+        # each of the six floods loses its relay.
+        cfg = SimConfig(
+            fixture="path:5",
+            packet_interval_s=1.0,
+            hold_time_s=3.0,
+            duplicate_ttl_s=30.0,
+            sim_duration_s=6,
+        )
+        topo = scenario_topology(cfg)
+        runs = _Run(cfg, topo), EventPathRun(cfg, topo)
+        for r in runs:
+            r.cutoff_us = 1_100_000
+        replayed, live = (output_bytes(r.execute()) for r in runs)
+        assert replayed == live
+        stored, = runs[0].trains.values()
+        assert stored.tallies["relays_truncated"] > 0
+        assert stored.floods == 2
+        series = runs[0].series
+        assert series.meta["relays_truncated"] == 6
+        expected, tallies = reference_engine.simulate(cfg, topo, 1_100_000)
+        assert tallies["relays_truncated"] == 6
+        assert cell_rows(series) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(scheduled_configs())
@@ -843,12 +889,12 @@ class TestRun:
         # key's writes start in its start second with the source's, and
         # `firsts` must be the nodes its writes deliver to.
         class OwnCells(_Run):
-            def _drain(self, starts, cells, base_us):
+            def _drain(self, starts, cells):
                 own = mx.MetricsSeries(cells.horizon_us, width=cells.width)
-                trace = super()._drain(starts, own, base_us)
+                trace = super()._drain(starts, own)
                 cells.merge(own, range(1))
                 trace.cells = cells
-                self.drained.append((starts, base_us, own, trace))
+                self.drained.append((starts, own, trace))
                 return trace
 
         cfg.validate()
@@ -857,8 +903,8 @@ class TestRun:
         r.drained = []
         assert output_bytes(r.execute()) == output_bytes(_Run(cfg, topo).execute())
         assert r.drained
-        for starts, base_us, own, trace in r.drained:
-            second = (starts[0] - base_us) // mx.US
+        for starts, own, trace in r.drained:
+            second = starts[0] // mx.US
             assert min(own.buckets) == second
             assert own.row(own.buckets[second][r.source])[mx.PACKETS_SENT] >= 1
             assert own.totals[mx.PACKETS_SENT] == len(starts)
@@ -900,6 +946,44 @@ class TestRun:
         assert output_bytes(SharedQueueRun(cfg, topo, salt).execute()) == output_bytes(
             _Run(cfg, topo).execute()
         )
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @settings(max_examples=40, deadline=None)
+    @given(scheduled_configs())
+    @example(MOBILE_DROP)
+    @example(
+        SimConfig(
+            mode=MODE_BLIND,
+            placement="uniform",
+            node_count=40,
+            radio_range=150.0,
+            sim_duration_s=20,
+        )
+    )
+    @example(SimConfig(fixture="fig3", repeat_seq=True, sim_duration_s=30))
+    def test_receiver_order_within_a_copy_does_not_reach_the_outputs(
+        self, order, cfg
+    ):
+        # A wave's copies are taken by emitter and one copy's receivers are
+        # distinct nodes, so the order `transmit` lists them in is moot.
+        cfg.validate()
+        topo = scenario_topology(cfg)
+        expected = output_bytes(_Run(cfg, topo).execute())
+        rng = random.Random(0)
+        calls = []
+
+        def reordered(*args):
+            arrival, receivers = transmit(*args)
+            listed = sorted(receivers, reverse=True)
+            if order == "shuffled":
+                rng.shuffle(listed)
+            calls.append(listed)
+            return arrival, tuple(listed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "transmit", reordered)
+            assert output_bytes(_Run(cfg, topo).execute()) == expected
+        assert calls
 
     def test_order_within_one_key_matters(self):
         # Copies of one key that arrive at one instant from different
@@ -1163,8 +1247,8 @@ class TestRun:
         class CacheAtDrainEnd(EventPathRun):
             drained = 0
 
-            def _drain(self, starts, cells, base_us):
-                trace = super()._drain(starts, cells, base_us)
+            def _drain(self, starts, cells):
+                trace = super()._drain(starts, cells)
                 # Every entry is the source or a node that first-received
                 # this drain's key, written no earlier than its first start.
                 assert set(self.cache.seen) == trace.firsts | {self.source}
@@ -1221,13 +1305,13 @@ class TestRun:
         # must fail the check.
         cfg = MOBILE_DROP
         assert mx.summarize(run(cfg))["total_packets_lost_in_transit"] > 0
-        record = engine._Trace.record
+        record = mx.MetricsSeries.record
 
-        def lost_writes_dropped(trace, now_us, nodes, bits_counter, wire_bits):
+        def lost_writes_dropped(series, now_us, nodes, bits_counter, wire_bits):
             if bits_counter != mx.BITS_LOST:
-                record(trace, now_us, nodes, bits_counter, wire_bits)
+                record(series, now_us, nodes, bits_counter, wire_bits)
 
-        monkeypatch.setattr(engine._Trace, "record", lost_writes_dropped)
+        monkeypatch.setattr(mx.MetricsSeries, "record", lost_writes_dropped)
         with pytest.raises(AccountingError, match="bit conservation broken"):
             run(cfg)
 
@@ -1312,7 +1396,7 @@ class TestRun:
         [
             lambda: DuplicateCache(30),
             lambda: mx.MetricsSeries(10 * mx.US),
-            lambda: engine._Trace(mx.MetricsSeries(10 * mx.US), 0),
+            lambda: engine._Trace(mx.MetricsSeries(10 * mx.US)),
         ],
         ids=["cache", "series", "trace"],
     )

@@ -219,6 +219,19 @@ class TestCmdRun:
         )
         assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            "topo_control_interval_s = 1e303\n",
+            "hold_time_s = 1e302\nduplicate_ttl_s = 1e302\n",
+        ],
+    )
+    def test_time_of_2_to_the_63_microseconds_exits_2(self, tmp_path, times):
+        # Such a time, or one the run derives from it, overflows a float
+        # once turned into microseconds.
+        scn = write_scenario(tmp_path, "fixture = path:3\nsim_duration_s = 4\n" + times)
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
     def test_duplicate_ttl_below_hold_time_exits_2(self, tmp_path):
         scn = write_scenario(
             tmp_path,
