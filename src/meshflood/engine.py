@@ -242,6 +242,23 @@ class SimConfig(NamedTuple):
         times = [t for t, _ in self.rate_schedule]
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ConfigError("rate_schedule times must be strictly increasing")
+        # A fixture's node count is known once it is built: `_Run` checks it.
+        if not self.fixture:
+            self.wire_max(self.node_count)
+
+    def wire_max(self, node_count: int) -> int:
+        """The largest wire size of a run on `node_count` nodes: its largest
+        payload plus one relay header per node. Raises ConfigError when its
+        serialization over the node_count + 2 hops the drain allows for
+        reaches 2**63 us, the bound `validate` puts on every time."""
+        payload = max([self.payload_bits, *(bits for _, bits in self.rate_schedule)])
+        wire = payload + node_count * self.header_bits_per_relay
+        if (node_count + 2) * wire * US // self.channel_bps >= 2**63:
+            raise ConfigError(
+                f"{node_count + 2} hops of {wire} bits at {self.channel_bps} bps"
+                " reach 2**63 microseconds"
+            )
+        return wire
 
 
 def _us(seconds: float) -> int:
@@ -341,7 +358,7 @@ class _Run:
         # retransmissions due past the cutoff are truncated instead of
         # emitted; a truncated packet never goes on the wire, which keeps the
         # conservation identity exact.
-        wire_max = max(self.payloads) + len(topo.nodes) * cfg.header_bits_per_relay
+        wire_max = cfg.wire_max(len(topo.nodes))
         ser_max = wire_max / cfg.channel_bps
         drain_s = (len(topo.nodes) + 2) * (cfg.hold_time_s + ser_max + 1.0) + 10.0
         self.cutoff_us = _us(cfg.sim_duration_s + drain_s)

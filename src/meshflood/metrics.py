@@ -18,9 +18,13 @@ never negative, so a field only grows and never exceeds its counter's run
 total: while every run total stays below 2**W, no field carries into the
 next and every cell unpacks exactly (`row`). `totals` keeps the run totals
 as exact ints, so a caller can check that bound once, at the end of a run.
-Because the top field is the most significant, the largest cell of a bucket
-holds that bucket's largest emitted volume, and `peak` is the top field of
-the largest cell.
+Because the top field is the most significant, of two cells the larger has
+the larger or equal emitted volume. `record` and `merge` keep `largest`,
+the largest cell written by an emission or a merge, the only writes that
+raise a top field. A cell's top field is the one it had after the last
+such write, so `largest` has the largest top field of any cell, and `peak`
+is that field, read without a scan. A series whose `buckets` are assigned
+by hand has no such upkeep, so `summarize` scans its cells.
 
 `merge` adds a part series once per shift of a range, `first + k * step`
 for k < n. Second t then gains the window W(t) = the sum of the part's
@@ -29,17 +33,24 @@ leaving it (t - first - n * step) plus the one entering it (t - first): two
 additions per part cell and a dict copy per second, whatever n is. The
 window is a sum of packed cells that are never negative, so subtracting a
 cell that was added is exact, and a cell falls to 0 exactly when no shifted
-part bucket in the window holds it; such cells are deleted.
+part bucket in the window holds it; such cells are deleted. A window's
+largest cell is found again only when a part bucket has entered or left it
+and the window is a bucket of its own.
+While no window is live, `merge` skips to the next second at which a part
+bucket enters, so a long gap between a part's buckets costs nothing.
 
 `export_csv` streams the cells to disk one second at a time. A static run
-repeats whole seconds, so the text of a second is kept while a later second
-shares its (cell count, cell sum) and is written again for a later second
-whose bucket equals it.
+repeats whole seconds, nearly always the second just before, so a second
+equal to the one before it is written from that second's text, split once
+at its `t` into `t`-free parts and joined at its own `t`. The text of the
+last `CSV_KEPT` distinct seconds is kept, so a second that repeats one a
+few seconds back (a flood interval of 0.7 or 5 s) is not rendered again
+either.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from collections.abc import Collection
 
 from .errors import AccountingError, ComparisonError
@@ -60,6 +71,12 @@ COUNTERS = tuple(f"{unit}_{name}" for unit in ("bits", "packets") for name in _C
 TOTAL_KEYS = tuple(f"total_{name}" for name in COUNTERS)
 
 CSV_HEADER = "t,node_id,counter,value"
+# `export_csv` writes through a buffer of CSV_BUFFER bytes and keeps the
+# text of the last CSV_KEPT distinct seconds: 7 covers the 7 s period of a
+# 0.7 s flood interval. With both it holds under a tenth of the file it
+# writes on grid:121 (tests/test_metrics.py).
+CSV_BUFFER = 1 << 16
+CSV_KEPT = 7
 
 
 class MetricsSeries:
@@ -70,7 +87,8 @@ class MetricsSeries:
     which in-flight floods complete, in microseconds. Records beyond the
     horizon indicate an engine bug. `width` is the bits per counter field
     of a cell (see the module docstring). `record` and `merge` keep
-    `totals`, the run total row, and `last_us`, the latest time recorded.
+    `totals`, the run total row, `last_us`, the latest time recorded, and
+    `largest`, whose top field is `peak`.
     """
 
     def __init__(self, horizon_us: int, width: int = 64):
@@ -80,6 +98,7 @@ class MetricsSeries:
         self.meta: dict = {}
         self.totals = [0] * len(COUNTERS)
         self.last_us = -1
+        self.largest = 0
 
     def record(
         self, now_us: int, nodes: Collection[int], bits_counter: int, wire_bits: int
@@ -106,12 +125,15 @@ class MetricsSeries:
         self.totals[packets_counter] += len(nodes)
         w = self.width
         inc = (wire_bits << w * bits_counter) + (1 << w * packets_counter)
-        if bits_counter in (BITS_SENT, BITS_RELAYED):
+        emits = bits_counter in (BITS_SENT, BITS_RELAYED)
+        if emits:
             inc += wire_bits << w * len(COUNTERS)
         bucket = self.buckets.setdefault(now_us // US, {})
         get = bucket.get
         for node in nodes:
             bucket[node] = get(node, 0) + inc
+        if emits:
+            self.largest = max(self.largest, *map(bucket.__getitem__, nodes))
 
     def merge(self, part: MetricsSeries, shifts: range) -> None:
         """Add `part`'s totals, and its cells each of `shifts` whole seconds
@@ -133,11 +155,24 @@ class MetricsSeries:
             return
         step, first = shifts.step, shifts[0]
         span = n * step
+        seconds = sorted(cells)
+        largest = self.largest
         empty: dict[int, int] = {}
-        windows: dict[int, dict[int, int]] = {}  # second -> its window
-        for t in range(min(cells) + first, max(cells) + shifts[-1] + 1):
-            window = windows.pop(t - step, empty)
+        # second -> its window and the window's largest cell, None until read
+        windows: dict[int, tuple[dict[int, int], int | None]] = {}
+        # The last window that can hold a part bucket is that of the last
+        # part bucket at the last shift.
+        t, end = seconds[0] + first, seconds[-1] + shifts[-1] + 1
+        while t < end:
+            if not windows:
+                # No window is live: skip to the next part bucket to enter.
+                k = bisect_left(seconds, t - first)
+                if k == len(seconds):
+                    break
+                t = seconds[k] + first
+            window, top = windows.pop(t - step, (empty, None))
             leaving = cells.get(t - first - span)
+            entering = cells.get(t - first, empty)
             if leaving is None:
                 window = window.copy()
             else:
@@ -146,32 +181,36 @@ class MetricsSeries:
                     node: rest for node, cell in window.items()
                     if (rest := cell - get(node, 0))
                 }
-            entering = cells.get(t - first, empty)
             if window:
                 get = window.get
                 for node, cell in entering.items():
                     window[node] = get(node, 0) + cell
             else:
                 window = entering.copy()
-            if not window:
-                continue
-            windows[t] = window
-            bucket = buckets.get(t)
-            if bucket is None:
-                buckets[t] = window
-            else:
-                get = bucket.get
-                for node, cell in window.items():
-                    bucket[node] = get(node, 0) + cell
+            if leaving is not None or entering:
+                top = None
+            if window:
+                bucket = buckets.get(t)
+                if bucket is None:
+                    if top is None:
+                        top = max(window.values())
+                    buckets[t] = window
+                    largest = max(largest, top)
+                else:
+                    get = bucket.get
+                    for node, cell in window.items():
+                        bucket[node] = cell = get(node, 0) + cell
+                        if cell > largest:
+                            largest = cell
+                windows[t] = window, top
+            t += 1
+        self.largest = largest
 
     @property
     def peak(self) -> int:
-        """The largest `BITS_SENT` plus `BITS_RELAYED` of a cell."""
-        top = max(
-            (max(cells.values(), default=0) for cells in self.buckets.values()),
-            default=0,
-        )
-        return top >> self.width * len(COUNTERS)
+        """The largest `BITS_SENT` plus `BITS_RELAYED` of a cell, from
+        `largest`."""
+        return self.largest >> self.width * len(COUNTERS)
 
     def row(self, cell: int) -> list[int]:
         """A cell's counters, indexed like `totals`."""
@@ -191,50 +230,64 @@ def export_csv(series: MetricsSeries, path) -> None:
     """Write `t,node_id,counter,value` rows sorted by (t, node, counter).
 
     Zero-valued counters are omitted; byte output is a pure function of the
-    series content. Each distinct cell is unpacked and formatted once, into
-    a template of its non-zero `,<counter>,<value>` lines after an empty
-    string, which joined with a cell's `t,node` puts that prefix before
-    every line. Each second's lines are written as soon as they are built.
-    A second whose (cell count, cell sum) a later second shares is built
-    with NUL where its `t` goes and kept until the last such second; a later
-    second with an equal bucket is that text with its own `t` for NUL.
+    series content. The header is written alone, each line after a newline,
+    and one newline ends the file, so a second's text is its lines, each
+    starting with `"\\n" + str(t)`, its label; a newline occurs nowhere
+    else. So the text of second t is that of an equal bucket at second u
+    with u's label replaced by t's. A second whose bucket equals the one
+    before it is written as its label joined between that second's parts,
+    its text split at its label once. Any other second is the text of an
+    equal bucket among the last `CSV_KEPT` distinct seconds, relabelled, or
+    else rendered (`_second_text`).
     """
-    names = [f",{name}," for name in COUNTERS]
     templates: dict[int, tuple[str, ...]] = {}
+    # The last CSV_KEPT distinct seconds as written: (bucket, text, "\n" + t).
+    kept: list[tuple[dict[int, int], str, str]] = []
+    parts = None  # kept[-1]'s parts, once a later second repeats it
     buckets = series.buckets
-    fingerprints = {t: (len(c), sum(c.values())) for t, c in buckets.items()}
-    left = Counter(fingerprints.values())  # seconds not yet written
-    kept: dict[tuple[int, int], tuple[dict[int, int], str]] = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n", buffering=CSV_BUFFER) as fh:
+        fh.write(CSV_HEADER)
         for t in sorted(buckets):
             per_node = buckets[t]
-            fp = fingerprints[t]
-            left[fp] -= 1
-            hit = kept.get(fp)
-            if hit is not None and hit[0] == per_node:
-                fh.write(hit[1].replace("\0", str(t)))
+            label = f"\n{t}"
+            if kept and kept[-1][0] == per_node:
+                if parts is None:
+                    parts = kept[-1][1].split(kept[-1][2])
+                fh.write(label.join(parts))
+                continue
+            parts = None
+            hit = next((i for i, (b, _, _) in enumerate(kept) if b == per_node), None)
+            if hit is None:
+                text = _second_text(series, per_node, label, templates)
             else:
-                keep = hit is None and left[fp]
-                label = "\0" if keep else t
-                lines = []
-                for node in sorted(per_node):
-                    cell = per_node[node]
-                    template = templates.get(cell)
-                    if template is None:
-                        template = templates[cell] = ("", *(
-                            f"{name}{value}\n"
-                            for name, value in zip(names, series.row(cell))
-                            if value
-                        ))
-                    lines.append(f"{label},{node}".join(template))
-                text = "".join(lines)
-                if keep:
-                    kept[fp] = per_node, text
-                    text = text.replace("\0", str(t))
-                fh.write(text)
-            if not left[fp]:
-                kept.pop(fp, None)
+                _, text, old = kept.pop(hit)
+                text = text.replace(old, label)
+            if len(kept) == CSV_KEPT:
+                del kept[0]
+            kept.append((per_node, text, label))
+            fh.write(text)
+        fh.write("\n")
+
+
+def _second_text(
+    series: MetricsSeries, per_node: dict[int, int], label: str, templates: dict
+) -> str:
+    """A bucket's lines, each after `label` and its node. Each distinct
+    cell is unpacked once, into a template in `templates` of its non-zero
+    `,<counter>,<value>` lines after an empty string, which joined with a
+    cell's `label,node` puts that prefix before every line."""
+    lines = []
+    for node in sorted(per_node):
+        cell = per_node[node]
+        template = templates.get(cell)
+        if template is None:
+            template = templates[cell] = ("", *(
+                f",{name},{value}"
+                for name, value in zip(COUNTERS, series.row(cell))
+                if value
+            ))
+        lines.append(f"{label},{node}".join(template))
+    return "".join(lines)
 
 
 def format_value(value) -> str:
@@ -253,7 +306,12 @@ def summarize(series: MetricsSeries) -> dict:
     totals = series.totals
     summary.update(zip(TOTAL_KEYS, totals))
     if "peak_node_bits_per_second" not in summary:
-        summary["peak_node_bits_per_second"] = series.peak
+        # Only `record` and `merge` keep `largest`; scan the cells instead.
+        largest = max(
+            (max(cells.values(), default=0) for cells in series.buckets.values()),
+            default=0,
+        )
+        summary["peak_node_bits_per_second"] = largest >> series.width * len(COUNTERS)
     first, dup = totals[PACKETS_RECEIVED_FIRST], totals[PACKETS_RECEIVED_DUP]
     summary["redundancy_ratio"] = (dup / first) if first else 0.0
     summary["total_transmissions"] = totals[PACKETS_SENT] + totals[PACKETS_RELAYED]

@@ -144,6 +144,13 @@ class TestTransmit:
                 assert sorted(receivers) == sorted(topo.adjacency[u])
 
 
+# With no relay header, a wire size of w bits takes 3 hops * w bits / 3 bits
+# per us = w us to send over one node's drain allowance.
+ONE_NODE_AT_3_MBPS = {
+    "node_count": 1, "channel_bps": 3 * mx.US, "header_bits_per_relay": 0
+}
+
+
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         SimConfig().validate()
@@ -187,6 +194,13 @@ class TestConfigValidation:
             {"rate_schedule": ((1e303, 2000),)},
             {"rate_schedule": ((2**63 / mx.US, 2000),)},
             {"rate_schedule": ((math.inf, 2000),)},
+            # A largest wire size whose serialization over node_count + 2
+            # hops reaches 2**63 us: 3 hops at 3 bits per us.
+            {**ONE_NODE_AT_3_MBPS, "payload_bits": 2**63},
+            {**ONE_NODE_AT_3_MBPS, "rate_schedule": ((0.0, 2**63),)},
+            {**ONE_NODE_AT_3_MBPS, "payload_bits": 1,
+             "header_bits_per_relay": 2**63 - 1},
+            {"node_count": 10**400},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -212,10 +226,25 @@ class TestConfigValidation:
                 )
             },
             {"topo_stability_s": 9.2e12},
+            {**ONE_NODE_AT_3_MBPS, "payload_bits": 2**63 - 1},
+            {**ONE_NODE_AT_3_MBPS, "rate_schedule": ((0.0, 2**63 - 1),)},
+            {**ONE_NODE_AT_3_MBPS, "payload_bits": 1,
+             "header_bits_per_relay": 2**63 - 2},
         ],
     )
     def test_configs_at_a_bound_accepted(self, kwargs):
         SimConfig(**kwargs).validate()
+
+    def test_a_fixture_run_checks_its_wire_size_on_its_own_nodes(self):
+        # `validate` cannot know a fixture's node count; the run checks it:
+        # path:3 gives 5 hops, so at 5 bits per us the bound is 2**63 bits.
+        cfg = SimConfig(fixture="path:3", sim_duration_s=4, channel_bps=5 * mx.US,
+                        header_bits_per_relay=0, payload_bits=2**63)
+        cfg.validate()
+        with pytest.raises(ConfigError, match="2\\*\\*63"):
+            run(cfg)
+        series = run(cfg._replace(payload_bits=2**63 - 1))
+        assert series.peak == 2**63 - 1
 
 
 @st.composite
@@ -849,6 +878,21 @@ class TestRun:
             expected, tallies = reference_engine.simulate(cfg, topo, cutoff_us)
             assert tallies["relays_truncated"] == truncated
             assert cell_rows(runs[0].series) == expected
+
+    @pytest.mark.parametrize("hold", [1e6, 9.2e12])
+    def test_a_long_hold_merges_in_time_bounded_by_its_writes(self, hold):
+        # The stored part spans the hold between each hop's relay, and the
+        # merge skips those gaps: it once walked every second of them.
+        cfg = SimConfig(
+            fixture="path:3", sim_duration_s=4, hold_time_s=hold, duplicate_ttl_s=hold
+        )
+        topo = scenario_topology(cfg)
+        start = time.perf_counter()
+        replayed = _Run(cfg, topo)
+        series = replayed.execute()
+        assert time.perf_counter() - start < 1.0
+        assert [t.floods for t in replayed.trains.values()] == [2]
+        assert output_bytes(series) == output_bytes(EventPathRun(cfg, topo).execute())
 
     def test_a_first_flood_that_truncated_a_relay_is_reused(self):
         # The 0 s flood's last write is node 1's reception 181 us in, and

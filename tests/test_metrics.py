@@ -1,4 +1,5 @@
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -259,6 +260,44 @@ class TestRecord:
         assert series.buckets == {4: part.buckets[2]}
         assert series.last_us == 4 * US + 9
 
+    def test_a_merge_into_an_existing_bucket_raises_the_peak(self):
+        # Node 1's sum beats both the bucket's largest cell and the window's.
+        series = MetricsSeries(horizon_us=10 * US)
+        series.record(3 * US, (1,), mx.BITS_SENT, 100)
+        part = MetricsSeries(horizon_us=10 * US)
+        part.record(US, (1,), mx.BITS_RELAYED, 60)
+        part.record(US, (2,), mx.BITS_RELAYED, 120)
+        series.merge(part, range(2, 3))
+        assert series.peak == peak_node_bits_per_second(series) == 160
+
+    def test_a_window_that_a_part_bucket_enters_raises_the_peak(self):
+        # Second 1's window is second 0's plus node 2's relays; both are
+        # buckets of their own, so the window's largest cell is found again.
+        part = MetricsSeries(horizon_us=10 * US)
+        part.record(0, (1,), mx.BITS_SENT, 10)
+        part.record(US, (2,), mx.BITS_RELAYED, 500)
+        series = MetricsSeries(horizon_us=10 * US)
+        series.merge(part, range(0, 2))
+        assert series.peak == peak_node_bits_per_second(series) == 500
+
+    def test_merge_skips_the_gap_between_part_buckets(self):
+        # Two buckets 10**12 s apart: a merge that walked every second of
+        # the gap would not finish.
+        gap = 10**12
+        part = MetricsSeries(horizon_us=(gap + 1) * US)
+        part.record(0, (0,), mx.BITS_SENT, 10)
+        part.record(gap * US, (1,), mx.BITS_RELAYED, 20)
+        oracle = RowSeries(horizon_us=(gap + 9) * US)
+        for shift in range(0, 6, 2):
+            oracle.record(shift * US, (0,), mx.BITS_SENT, 10)
+            oracle.record((gap + shift) * US, (1,), mx.BITS_RELAYED, 20)
+        series = MetricsSeries(horizon_us=(gap + 9) * US)
+        start = time.perf_counter()
+        series.merge(part, range(0, 6, 2))
+        assert time.perf_counter() - start < 1.0
+        assert rows(series) == oracle.buckets
+        assert series.peak == oracle.peak == 20
+
     @given(record_calls)
     def test_running_totals_and_peak_match_a_scan(self, writes):
         series = MetricsSeries(horizon_us=10 * US)
@@ -386,6 +425,45 @@ class TestCsv:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 10
 
+    def test_export_of_a_5_s_interval_holds_under_a_tenth_of_the_file(self, tmp_path):
+        # Seconds repeat every 5 s, so the kept older seconds are in use.
+        series = run(SimConfig(mode="relay", fixture="grid:121", node_count=121,
+                               sim_duration_s=360, packet_interval_s=5))
+        path = tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            export_csv(series, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
+
+    @pytest.mark.parametrize(
+        "interval, duration, distinct",
+        [(0.7, 200, 208), (2, 360, 39), (3, 360, 39), (5, 360, 35)],
+    )
+    def test_periodic_runs_render_each_distinct_second_once(
+        self, tmp_path, monkeypatch, interval, duration, distinct
+    ):
+        # A repeated second repeats the one before it (2 s, 3 s) or one up
+        # to 7 distinct seconds back (0.7 s, 5 s); each is rendered once.
+        series = run(SimConfig(mode="relay", fixture="grid:121", node_count=121,
+                               sim_duration_s=duration, packet_interval_s=interval))
+        rendered = []
+        render = mx._second_text
+
+        def counted(s, per_node, *rest):
+            rendered.append(per_node)
+            return render(s, per_node, *rest)
+
+        monkeypatch.setattr(mx, "_second_text", counted)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        export_csv(series, got)
+        reference_csv(series, want)
+        assert got.read_bytes() == want.read_bytes()
+        buckets = {tuple(sorted(b.items())) for b in series.buckets.values()}
+        assert len(rendered) == len(buckets) == distinct
+
     def test_series_holds_under_200_bytes_per_cell(self):
         # The run of the test above: about 22,000 cells, each one int.
         cfg = SimConfig(mode="relay", fixture="grid:121", node_count=121,
@@ -428,6 +506,16 @@ class TestSummary:
         series.record(200_000, (0,), mx.BITS_RELAYED, 2200)
         series.record(3 * US, (1,), mx.BITS_RELAYED, 2400)
         assert series.peak == peak_node_bits_per_second(series) == 4200
+
+    def test_a_hand_built_series_is_scanned_for_its_peak(self):
+        # `record` and `merge` keep the largest cell; a series whose buckets
+        # are assigned by hand has none kept, so `summarize` scans it.
+        series = MetricsSeries(horizon_us=10 * US)
+        row = [0] * len(mx.COUNTERS)
+        row[mx.BITS_SENT], row[mx.BITS_RELAYED] = 300, 4000
+        series.buckets = {2: {5: pack(row)}, 4: {1: pack(ZERO_ROW)}}
+        peak = summarize(series)["peak_node_bits_per_second"]
+        assert peak == peak_node_bits_per_second(series) == 4300
 
     def test_export_sorted_keys_and_formats(self, tmp_path):
         path = tmp_path / "summary.txt"

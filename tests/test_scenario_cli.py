@@ -232,6 +232,15 @@ class TestCmdRun:
         scn = write_scenario(tmp_path, "fixture = path:3\nsim_duration_s = 4\n" + times)
         assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
+    def test_a_payload_too_large_to_send_exits_2(self, tmp_path, capsys):
+        # 10**400 bits: its serialization delay overflowed a float.
+        scn = write_scenario(
+            tmp_path,
+            f"fixture = path:3\nsim_duration_s = 4\npayload_bits = {10**400}\n",
+        )
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "2**63 microseconds" in capsys.readouterr().err
+
     def test_duplicate_ttl_below_hold_time_exits_2(self, tmp_path):
         scn = write_scenario(
             tmp_path,
